@@ -1,60 +1,75 @@
-"""Exact linear algebra over ``Fraction`` used by several modules.
+"""Exact linear algebra over the rationals, computed in integers.
 
-Plain Gaussian elimination; matrices are lists of row lists.  Inputs are
-never mutated.
+Matrices are lists of row lists; inputs are never mutated.  They are
+scaled to integer matrices, and one fraction-free Gauss–Jordan
+elimination, which keeps every row primitive by dividing out the gcd of
+its entries, serves ``rref``, ``rank``, ``kernel``, ``solve`` and
+``inverse``.  The unique RREF is built at the end, one ``Fraction`` per
+entry.  ``det`` is Bareiss elimination (Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
-def _copy(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def integer_matrix(rows):
+    """(integer rows, d): d · rows, with d the lcm of all the denominators."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(rows):
+    """Fraction-free Gauss–Jordan: (integer rows, pivot columns).
+
+    Row r of the result is a multiple of row r of the RREF, with its
+    pivot at column pivots[r]; the rows past the pivots are zero.
+    """
+    m = [_primitive(row) for row in integer_matrix(rows)[0]]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        prow = m[r]
+        for i, row in enumerate(m):
+            if i != r and row[c]:
+                g = gcd(prow[c], row[c])
+                a, b = prow[c] // g, row[c] // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+    return m, pivots
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = _copy(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    m, pivots = _eliminate(rows)
+    return [
+        [Fraction(x, row[pivots[r]]) for x in row] if r < len(pivots) else [Fraction(0)] * len(row)
+        for r, row in enumerate(m)
+    ], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def kernel(rows, ncols=None):
     """Basis of the right null space {x : rows @ x = 0}, one vector per free column."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
     m, pivots = rref(rows)
-    pivot_set = set(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
+    for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for r, c in enumerate(pivots):
@@ -71,45 +86,39 @@ def solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(b)] for row, b in zip(rows, rhs)]
-    m, pivots = rref(aug)
-    for row in m:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    m, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
         x[c] = m[r][-1]
     return x
 
 
 def det(rows) -> Fraction:
-    m = _copy(rows)
+    """Determinant by Bareiss elimination; every division in it is exact."""
+    m, d = integer_matrix(rows)
     n = len(m)
-    sign = 1
-    result = Fraction(1)
+    sign, previous = 1, 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != c:
             m[c], m[pivot] = m[pivot], m[c]
             sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
+        a, prow = m[c][c], m[c][c + 1:]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return result * sign
+            b = m[i][c]
+            m[i][c + 1:] = [(a * x - b * y) // previous for x, y in zip(m[i][c + 1:], prow)]
+        previous = a
+    return Fraction(sign * previous, d ** n)
 
 
 def inverse(rows):
     """Exact inverse, or None if singular."""
     n = len(rows)
-    aug = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(rows)]
     m, pivots = rref(aug)
     if pivots != list(range(n)):
         return None

@@ -23,6 +23,11 @@ class UnknownSymbolError(ParseError):
     """Identifier not declared in the chart (coordinate or constant)."""
 
 
+class DimensionError(GeohamError, ValueError):
+    """An analysis was asked of a chart whose dimension it cannot handle
+    (Hamiltonian descriptions and flows need an even dimension)."""
+
+
 class ChartMismatchError(GeohamError):
     """Objects living on different charts were combined."""
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _linalg
-from .errors import ChartMismatchError, PoleError
+from .errors import ChartMismatchError, DimensionError, PoleError
 from .expr import Chart, RationalFunction, require_same_chart
 
 
@@ -609,7 +609,7 @@ def is_hamiltonian_description(
     if omega.degree != 2:
         raise ValueError("a Hamiltonian description needs a 2-form")
     if gamma.chart.dimension % 2 != 0:
-        raise ValueError("Hamiltonian descriptions need an even-dimensional chart")
+        raise DimensionError("Hamiltonian descriptions need an even-dimensional chart")
     residual = interior_product(gamma, omega) - differential(hamiltonian)
     matches = residual.is_zero
     closed = exterior_derivative(omega).is_zero

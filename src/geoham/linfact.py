@@ -22,6 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class ExactMatrix:
     __slots__ = ("entries", "log_scale")
 
     def __init__(self, entries, log_scale: Fraction = Fraction(0)):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in r) for r in entries)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ValueError("entries must form a non-empty square matrix")
@@ -79,12 +80,10 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
-        a, b = self.entries, other.entries
-        rows = [
-            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        a, da = _linalg.integer_matrix(self.entries)
+        b, db = _linalg.integer_matrix(other.entries)
+        columns = list(zip(*b))
+        rows = [[Fraction(sum(map(mul, row, col)), da * db) for col in columns] for row in a]
         return ExactMatrix(rows, self.log_scale + other.log_scale)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -114,10 +113,7 @@ class ExactMatrix:
         )
 
     def transpose(self) -> "ExactMatrix":
-        n = self.n
-        return ExactMatrix(
-            [[self.entries[j][i] for j in range(n)] for i in range(n)], self.log_scale
-        )
+        return ExactMatrix(list(zip(*self.entries)), self.log_scale)
 
     def power(self, exponent: int) -> "ExactMatrix":
         if exponent < 0:
@@ -155,18 +151,10 @@ class ExactMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def is_skew(self) -> bool:
-        return all(
-            self.entries[i][j] == -self.entries[j][i]
-            for i in range(self.n)
-            for j in range(i, self.n)
-        )
+        return self == -self.transpose()
 
     def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        return self == self.transpose()
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -262,32 +250,31 @@ def odd_trace_test(A: ExactMatrix) -> OddTraceResult:
     return OddTraceResult(passed=True, traces=tuple(traces))
 
 
-def _skew_basis_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def _skew_from_coefficients(n, pairs, coefficients):
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for (i, j), c in zip(pairs, coefficients):
-        if c:
-            rows[i][j] = Fraction(c)
-            rows[j][i] = -Fraction(c)
+        rows[i][j], rows[j][i] = c, -c
     return ExactMatrix(rows)
 
 
 def skew_constraint_kernel(A: ExactMatrix):
-    """Exact basis of {Ω skew : ΩA + AᵀΩ = 0}, as ExactMatrix list."""
+    """Exact basis of {Ω skew : ΩA + AᵀΩ = 0}, as ExactMatrix list.
+
+    In the basis E_kl (k < l; +1 at (k, l), −1 at (l, k)) of skew
+    matrices, the constraint has row (i, j), i < j, and column (k, l)
+    holding (E_kl A + Aᵀ E_kl)_ij = δ_ik A_lj − δ_il A_kj + δ_jl A_ki − δ_jk A_li.
+    """
     n = A.n
-    pairs = _skew_basis_pairs(n)
-    At = A.transpose()
-    columns = []
-    for (k, l) in pairs:
-        E = _skew_from_coefficients(n, [(k, l)], [1])
-        M = (E @ A) + (At @ E)
-        columns.append([M.entries[i][j] for (i, j) in pairs])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if not pairs:
         return []
-    constraint = [[columns[b][r] for b in range(len(pairs))] for r in range(len(pairs))]
+    a = _linalg.integer_matrix(A.entries)[0]  # a multiple of A has the same kernel
+
+    def entry(i, j, k, l):
+        return ((a[l][j] if i == k else 0) - (a[k][j] if i == l else 0)
+                + (a[k][i] if j == l else 0) - (a[l][i] if j == k else 0))
+
+    constraint = [[entry(i, j, k, l) for (k, l) in pairs] for (i, j) in pairs]
     kernel = _linalg.kernel(constraint, ncols=len(pairs))
     return [_skew_from_coefficients(n, pairs, vec) for vec in kernel]
 
@@ -369,11 +356,7 @@ def noncanonical_symmetry(A: ExactMatrix, k: int, lam) -> ExactMatrix | np.ndarr
         return ExactMatrix.identity(A.n)
     B = A.power(2 * k)
     diagonal = B.entries[0][0]
-    if all(
-        B.entries[i][j] == (diagonal if i == j else 0)
-        for i in range(A.n)
-        for j in range(A.n)
-    ):
+    if B == ExactMatrix.identity(A.n).scale_by(diagonal):
         return ExactMatrix.scaled_identity(A.n, log_scale=lam * diagonal)
     from scipy.linalg import expm
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import IntegrationError, PoleError, RootFindError
+from .errors import DimensionError, IntegrationError, PoleError, RootFindError
 from .expr import Chart, RationalFunction
 from .geom import DifferentialForm, VectorField, differential, interior_product
 
@@ -98,7 +98,7 @@ class FlowSystem:
         constant_values=None,
     ):
         if chart.dimension % 2 != 0:
-            raise ValueError("flow systems need an even-dimensional chart")
+            raise DimensionError("flow systems need an even-dimensional chart")
         if hamiltonian is None and field is None:
             raise ValueError("need a Hamiltonian or an explicit field")
         self.chart = chart

@@ -196,6 +196,13 @@ def _fraction(text, line=None) -> Fraction:
         raise ParseError(f"bad rational literal {text!r}", line=line) from exc
 
 
+def _integer(text, line=None) -> int:
+    try:
+        return int(text.strip())
+    except ValueError as exc:
+        raise ParseError(f"bad integer literal {text!r}", line=line) from exc
+
+
 def parse_matrix_literal(text, line=None) -> ExactMatrix:
     rows = parse_nested_list(text, line=line)
     parsed = []
@@ -321,7 +328,7 @@ class _RequestParser:
                 raise ParseError(f"unknown altgen keys {sorted(unknown)}", line=line)
             objects = {"matrix": self.system.object(kwargs["matrix"], ("matrix",), line)}
             options = {
-                "k": int(kwargs.get("k", "1")),
+                "k": _integer(kwargs.get("k", "1"), line),
                 "lam": _fraction(kwargs.get("lam", "1"), line),
             }
             return objects, options
@@ -351,8 +358,10 @@ class _RequestParser:
             raise ParseError("period needs: <scalar> energies=[...] seeds=<n>", line=line)
         if "energies" not in kwargs:
             raise ParseError("period needs energies=[...]", line=line)
-        energies = [float(Fraction(x)) for x in parse_nested_list(kwargs["energies"], line=line)]
-        seeds = int(kwargs.get("seeds", "3"))
+        energies = [
+            float(_fraction(x, line)) for x in parse_nested_list(kwargs["energies"], line=line)
+        ]
+        seeds = _integer(kwargs.get("seeds", "3"), line)
         unknown = set(kwargs) - {"energies", "seeds"}
         if unknown:
             raise ParseError(f"unknown period keys {sorted(unknown)}", line=line)

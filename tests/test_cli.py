@@ -191,6 +191,47 @@ def test_parse_error_exit_code(tmp_path):
     assert text == ""
 
 
+def run_text(tmp_path, capsys, subcommand, text):
+    path = tmp_path / "input.sys"
+    path.write_text(text)
+    code, out = run_cli(subcommand, str(path))
+    err = capsys.readouterr().err
+    assert out == "" and "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize(
+    "subcommand,text",
+    [
+        ("verify", "chart q1, q2, p1\nvectorfield G = [p1, q1, q2]\n"
+                   "form w = 2-form: (1) dq1^dp1\nscalar H = p1\nverify v : G w H\n"),
+        ("period", "chart q1, q2, p1\nscalar H = p1^2 + q1^2\nperiod s : H energies=[1] seeds=2\n"),
+    ],
+    ids=["verify", "period"],
+)
+def test_odd_dimensional_chart_exits_2(tmp_path, capsys, subcommand, text):
+    code, err = run_text(tmp_path, capsys, subcommand, text)
+    assert code == 2
+    assert err.startswith("analysis error:") and "even-dimensional" in err
+
+
+@pytest.mark.parametrize(
+    "subcommand,request_line,message",
+    [
+        ("period", "period s : H energies=[1] seeds=three", "bad integer literal 'three'"),
+        ("period", "period s : H energies=[abc] seeds=2", "bad rational literal 'abc'"),
+        ("altgen", "altgen e : matrix=A k=x lam=1", "bad integer literal 'x'"),
+    ],
+    ids=["seeds", "energies", "k"],
+)
+def test_bad_option_literal_is_a_located_parse_error(tmp_path, capsys, subcommand, request_line,
+                                                     message):
+    text = f"chart q, p\nscalar H = p^2 + q^2\nmatrix A = [[0, 1], [-1, 0]]\n{request_line}\n"
+    code, err = run_text(tmp_path, capsys, subcommand, text)
+    assert code == 1
+    assert err == f"parse error: {message} at line 4\n"
+
+
 def test_missing_file_exit_code():
     code, _ = run_cli("verify", "/nonexistent/path.sys")
     assert code == 1
