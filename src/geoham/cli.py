@@ -267,10 +267,9 @@ def _run_normalform(system, options):
 def _run_validate(system, options):
     results = []
     for request in system.requests_of("validate"):
-        kind = request.options["structure"]
         report = validate_structures(
-            kind, sample_seed=options.seed, **request.objects
-        ) if kind == "linear" else validate_structures(kind, **request.objects)
+            request.options["structure"], sample_seed=options.seed, **request.objects
+        )
         results.append({"request": request.name, "kind": "validate", **report.to_dict()})
     return results, [], False
 

@@ -260,11 +260,10 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Total degree, or -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+    @property
+    def is_constant(self) -> bool:
+        """True for the zero polynomial and for a lone term of degree 0."""
+        return len(self.terms) <= 1 and not any(next(iter(self.terms), ()))
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex largest term."""
@@ -303,8 +302,7 @@ def format_polynomial(poly: Polynomial) -> str:
         if factors and mag == 1:
             body = "*".join(factors)
         else:
-            num = str(mag) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-            body = "*".join([num] + factors) if factors else num
+            body = "*".join([str(mag)] + factors)
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -331,7 +329,7 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator polynomial")
         # normalize: constant denominators fold away, otherwise make monic
         _, lead = den.leading_term()
-        if len(den.terms) == 1 and sum(next(iter(den.terms))) == 0:
+        if den.is_constant:
             num = num.scale(1 / lead)
             den = Polynomial.constant(num.chart, 1)
         elif lead != 1:
@@ -420,7 +418,7 @@ class RationalFunction:
         if axis >= self.chart.dimension:
             raise UnknownSymbolError("cannot differentiate with respect to a constant")
         dn = self.num.derivative(axis)
-        if len(self.den.terms) == 1 and sum(next(iter(self.den.terms))) == 0:
+        if self.den.is_constant:
             return RationalFunction(dn, self.den)
         dd = self.den.derivative(axis)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
@@ -462,13 +460,12 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.num.terms) and all(
-            sum(e) == 0 for e in self.den.terms
-        )
+        return self.num.is_constant and self.den.is_constant
 
     def constant_value(self) -> Fraction:
-        if not self.is_constant():
+        if not self.is_constant:
             raise ValueError("not a constant rational function")
         num = next(iter(self.num.terms.values()), Fraction(0))
         den = next(iter(self.den.terms.values()))
@@ -482,7 +479,7 @@ class RationalFunction:
 
     def __str__(self):
         num = format_polynomial(self.num)
-        if len(self.den.terms) == 1 and sum(next(iter(self.den.terms))) == 0:
+        if self.den.is_constant:
             return num
         return f"({num})/({format_polynomial(self.den)})"
 

@@ -19,6 +19,11 @@ from . import _linalg
 from .errors import ChartMismatchError, DimensionError, PoleError
 from .expr import Chart, RationalFunction, require_same_chart
 
+#: Sample points per pointwise probe, drawn from the grid (1/8)Z in
+#: [-SAMPLE_BOUND, SAMPLE_BOUND] on every coordinate.
+SAMPLE_COUNT = 8
+SAMPLE_BOUND = 10
+
 
 class VectorField:
     """A vector field: one rational-function component per coordinate."""
@@ -267,8 +272,9 @@ class Tensor11:
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.components for e in row)
 
+    @property
     def is_constant(self) -> bool:
-        return all(e.is_constant() for row in self.components for e in row)
+        return all(e.is_constant for row in self.components for e in row)
 
     def __eq__(self, other):
         return (
@@ -542,8 +548,8 @@ def symbolic_determinant(rows) -> RationalFunction:
     return minor(0, 0)
 
 
-def sample_points(chart: Chart, probes, count=8, seed=42, bound=10, constants=None):
-    """Seeded rational sample points in [-bound, bound]^dim avoiding poles.
+def sample_points(chart: Chart, probes, seed=42, constants=None):
+    """SAMPLE_COUNT seeded rational sample points avoiding poles.
 
     ``probes`` are rational functions that must all evaluate cleanly at
     every returned point.
@@ -551,11 +557,12 @@ def sample_points(chart: Chart, probes, count=8, seed=42, bound=10, constants=No
     rng = random.Random(seed)
     points = []
     attempts = 0
-    while len(points) < count:
+    while len(points) < SAMPLE_COUNT:
         attempts += 1
-        if attempts > 200 * count:
+        if attempts > 200 * SAMPLE_COUNT:
             raise PoleError("could not find enough pole-free sample points")
-        point = [Fraction(rng.randint(-8 * bound, 8 * bound), 8) for _ in range(chart.dimension)]
+        point = [Fraction(rng.randint(-8 * SAMPLE_BOUND, 8 * SAMPLE_BOUND), 8)
+                 for _ in range(chart.dimension)]
         try:
             for probe in probes:
                 probe.evaluate(point, constants)
@@ -596,7 +603,6 @@ def is_hamiltonian_description(
     omega: DifferentialForm,
     hamiltonian: RationalFunction,
     sample_seed: int = 42,
-    sample_count: int = 8,
 ) -> HamiltonianDescriptionReport:
     """Check whether (ω, H) is a Hamiltonian description of the field.
 
@@ -617,9 +623,7 @@ def is_hamiltonian_description(
     nondegenerate = not detw.is_zero
     degenerate_samples = []
     if nondegenerate:
-        points = sample_points(
-            omega.chart, [c for c in omega.coeffs.values()], count=sample_count, seed=sample_seed
-        )
+        points = sample_points(omega.chart, list(omega.coeffs.values()), seed=sample_seed)
         for point in points:
             try:
                 if detw.evaluate(point) == 0:
@@ -685,7 +689,6 @@ def check_normal_form(
     integrals: Sequence[RationalFunction],
     fields: Sequence[VectorField],
     nu: Sequence[RationalFunction] | None = None,
-    sample_count: int = 8,
     sample_seed: int = 42,
     constants=None,
 ) -> NormalFormReport:
@@ -716,8 +719,7 @@ def check_normal_form(
     integrals_independent = not independence_form.is_zero
 
     probes = list(integrals) + [c for X in fields for c in X.components] + list(gamma.components)
-    points = sample_points(chart, probes, count=sample_count, seed=sample_seed,
-                           constants=constants)
+    points = sample_points(chart, probes, seed=sample_seed, constants=constants)
 
     def jacobian_rank(point):
         rows = []
@@ -796,7 +798,7 @@ def validate_tangent_structure(S: Tensor11, delta: VectorField) -> StructureRepo
     checks = {}
     checks["s_squared_zero"] = S.compose(S).is_zero
     checks["s_kills_delta"] = S.apply(delta).is_zero
-    if S.is_constant():
+    if S.is_constant:
         rows = [[e.constant_value() for e in row] for row in S.components]
         checks["rank_is_half_dimension"] = (
             chart.dimension % 2 == 0 and _linalg.rank(rows) == chart.dimension // 2
@@ -827,7 +829,7 @@ def validate_cotangent_structure(theta: DifferentialForm, delta: VectorField) ->
     return StructureReport(kind="cotangent", checks=checks, valid=all(checks.values()))
 
 
-def validate_linear_structure(delta: VectorField, sample_count=8, sample_seed=42) -> StructureReport:
+def validate_linear_structure(delta: VectorField, sample_seed=42) -> StructureReport:
     """Dilation-field checks for a (partial) linear structure.
 
     Classifies each coordinate as invariant (L_Δ x = 0) or linear
@@ -846,7 +848,7 @@ def validate_linear_structure(delta: VectorField, sample_count=8, sample_seed=42
             linear.append(name)
         else:
             other.append(name)
-    points = sample_points(chart, list(delta.components), count=sample_count, seed=sample_seed)
+    points = sample_points(chart, list(delta.components), seed=sample_seed)
     zero_samples = [
         pt for pt in points if all(c.evaluate(pt) == 0 for c in delta.components)
     ]
@@ -862,16 +864,15 @@ def validate_linear_structure(delta: VectorField, sample_count=8, sample_seed=42
     )
 
 
-def validate_structures(kind: str, **objects) -> StructureReport:
-    """Dispatch to one of the structure validators by kind name."""
+def validate_structures(kind: str, sample_seed: int = 42, **objects) -> StructureReport:
+    """Dispatch to one of the structure validators by kind name.
+
+    Only the linear validator samples points; the others ignore the seed.
+    """
     if kind == "tangent":
         return validate_tangent_structure(objects["tensor"], objects["delta"])
     if kind == "cotangent":
         return validate_cotangent_structure(objects["one_form"], objects["delta"])
     if kind == "linear":
-        return validate_linear_structure(
-            objects["delta"],
-            sample_count=objects.get("sample_count", 8),
-            sample_seed=objects.get("sample_seed", 42),
-        )
+        return validate_linear_structure(objects["delta"], sample_seed=sample_seed)
     raise ValueError(f"unknown structure kind {kind!r}")

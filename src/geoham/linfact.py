@@ -30,6 +30,11 @@ from . import _linalg
 from .errors import NotDecomposableError
 
 _FLOAT_TOL = 1e-12
+#: The invertible-element search: a sweep of integer combinations up to this
+#: max-norm, at most SWEEP_BUDGET of them, then RANDOM_TRIALS seeded draws.
+SWEEP_BOUND = 3
+SWEEP_BUDGET = 4000
+RANDOM_TRIALS = 1000
 
 
 class ExactMatrix:
@@ -166,11 +171,8 @@ class ExactMatrix:
         return self.log_scale == other.log_scale and self.entries == other.entries
 
     def __str__(self):
-        def fmt(x):
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
         body = "[" + ", ".join(
-            "[" + ", ".join(fmt(x) for x in row) + "]" for row in self.entries
+            "[" + ", ".join(str(x) for x in row) + "]" for row in self.entries
         ) + "]"
         if self.log_scale:
             return f"exp({self.log_scale}) * {body}"
@@ -295,13 +297,7 @@ def _sweep_coefficients(dim, bound):
             yield combo
 
 
-def hamiltonian_factorize(
-    A: ExactMatrix,
-    sweep_bound: int = 3,
-    sweep_budget: int = 4000,
-    random_trials: int = 1000,
-    seed: int = 0,
-) -> Factorization:
+def hamiltonian_factorize(A: ExactMatrix, seed: int = 0) -> Factorization:
     """Factor A = Λ·H with Λ skew invertible and H symmetric, exactly.
 
     Raises :class:`NotDecomposableError` with reason "no skew solution"
@@ -326,12 +322,12 @@ def hamiltonian_factorize(
         ham = omega @ A
         return Factorization(lam=lam, ham=ham, source=A)
 
-    for combo in itertools.islice(_sweep_coefficients(dim, sweep_bound), sweep_budget):
+    for combo in itertools.islice(_sweep_coefficients(dim, SWEEP_BOUND), SWEEP_BUDGET):
         result = try_coefficients(combo)
         if result is not None:
             return result
     rng = random.Random(seed)
-    for _ in range(random_trials):
+    for _ in range(RANDOM_TRIALS):
         combo = [rng.randint(-9, 9) for _ in range(dim)]
         result = try_coefficients(combo)
         if result is not None:

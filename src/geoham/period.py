@@ -21,11 +21,18 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DimensionError, IntegrationError, PoleError, RootFindError
 from .expr import Chart, RationalFunction
 from .geom import DifferentialForm, VectorField, differential, interior_product
+
+#: First integration chunk of the return search; chunks then double up to MAX_CHUNK.
+INITIAL_CHUNK = 8.0
+MAX_CHUNK = 64.0
+#: Spacing of the distance samples that locate candidate returns.
+SAMPLE_SPACING = 1.0 / 128.0
+#: Random directions tried before an energy level is reported unattainable.
+DIRECTION_TRIES = 8
 
 
 def _polynomial_source(poly, chart: Chart, constant_values):
@@ -51,14 +58,26 @@ def _polynomial_source(poly, chart: Chart, constant_values):
     return "(" + " + ".join(pieces) + ")" if pieces else "0.0"
 
 
+def _rational_source(f: RationalFunction, chart: Chart, constant_values):
+    """Float source of f in the state y.
+
+    A denominator with no coordinate factor compiles to float literals
+    only, so it is evaluated here: a zero raises PoleError instead of a
+    ZeroDivisionError from the compiled function.  Every other division
+    has a numpy operand and cannot raise.
+    """
+    num_src = _polynomial_source(f.num, chart, constant_values)
+    if f.den.is_constant:
+        return num_src
+    den_src = _polynomial_source(f.den, chart, constant_values)
+    if "y[" not in den_src and eval(den_src) == 0.0:
+        raise PoleError(f"the denominator of {f} vanishes at the declared constant values")
+    return f"({num_src})/({den_src})"
+
+
 def compile_scalar(f: RationalFunction, constant_values=None):
     """Compile a rational function to a fast float callable of the state."""
-    chart = f.chart
-    num_src = _polynomial_source(f.num, chart, constant_values)
-    if len(f.den.terms) == 1 and sum(next(iter(f.den.terms))) == 0:
-        body = num_src
-    else:
-        body = f"({num_src})/({_polynomial_source(f.den, chart, constant_values)})"
+    body = _rational_source(f, f.chart, constant_values)
     namespace = {}
     exec(f"def _scalar(y):\n    return {body}\n", namespace)
     return namespace["_scalar"]
@@ -66,17 +85,9 @@ def compile_scalar(f: RationalFunction, constant_values=None):
 
 def compile_field(field: VectorField, constant_values=None):
     """Compile a vector field to an ODE right-hand side f(t, y) -> list."""
-    chart = field.chart
-    bodies = []
-    for comp in field.components:
-        num_src = _polynomial_source(comp.num, chart, constant_values)
-        if len(comp.den.terms) == 1 and sum(next(iter(comp.den.terms))) == 0:
-            bodies.append(num_src)
-        else:
-            bodies.append(f"({num_src})/({_polynomial_source(comp.den, chart, constant_values)})")
-    src = "def _rhs(t, y):\n    return [" + ", ".join(bodies) + "]\n"
+    bodies = [_rational_source(c, field.chart, constant_values) for c in field.components]
     namespace = {}
-    exec(src, namespace)
+    exec("def _rhs(t, y):\n    return [" + ", ".join(bodies) + "]\n", namespace)
     return namespace["_rhs"]
 
 
@@ -119,10 +130,11 @@ class FlowSystem:
             if field.chart != chart:
                 raise ValueError("field lives on a different chart")
         self.field = field
-        self._rhs = compile_field(field, self.constant_values)
+        # the Hamiltonian first: a pole in it is named as the user wrote it
         self._energy = (
             compile_scalar(hamiltonian, self.constant_values) if hamiltonian is not None else None
         )
+        self._rhs = compile_field(field, self.constant_values)
 
     def energy(self, state) -> float | None:
         if self._energy is None:
@@ -137,21 +149,12 @@ class FlowSystem:
 class Trajectory:
     """Dense solution of one integration, with energy-drift monitoring."""
 
-    system: FlowSystem
-    t_start: float
-    t_end: float
     solution: object
-    step_times: np.ndarray
-    step_states: np.ndarray
     initial_energy: float | None
     max_energy_drift: float | None
 
     def state_at(self, t):
         return np.asarray(self.solution(t), dtype=float)
-
-    @property
-    def final_state(self):
-        return self.step_states[:, -1]
 
 
 def integrate(
@@ -168,23 +171,17 @@ def integrate(
     energy drift |H(x(t)) − H(x0)| over the solver steps and a refining
     sample grid.
     """
+    # scipy.integrate takes most of a cold import; only integration needs it
+    from scipy.integrate import solve_ivp
+
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
     x0 = np.asarray(x0, dtype=float)
-    try:
-        result = solve_ivp(
-            system.rhs,
-            (t_start, t_end),
-            x0,
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-            dense_output=True,
-        )
-    except ZeroDivisionError as exc:
-        raise PoleError(f"flow hit a pole: {exc}") from exc
+    result = solve_ivp(
+        system.rhs, (t_start, t_end), x0, method="RK45", rtol=rtol, atol=atol, dense_output=True
+    )
     if not result.success:
         raise IntegrationError(result.message)
     initial_energy = system.energy(x0)
@@ -195,14 +192,7 @@ def integrate(
         energies = [system.energy(states[:, i]) for i in range(states.shape[1])]
         max_drift = float(max(abs(e - initial_energy) for e in energies))
     return Trajectory(
-        system=system,
-        t_start=t_start,
-        t_end=t_end,
-        solution=result.sol,
-        step_times=result.t,
-        step_states=result.y,
-        initial_energy=initial_energy,
-        max_energy_drift=max_drift,
+        solution=result.sol, initial_energy=initial_energy, max_energy_drift=max_drift
     )
 
 
@@ -242,9 +232,6 @@ def detect_period(
     t_max: float = 1e3,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    initial_chunk: float = 8.0,
-    max_chunk: float = 64.0,
-    sample_spacing: float = 1.0 / 128.0,
 ) -> PeriodDetection:
     """Find the first full phase-space return of the orbit through x0.
 
@@ -262,14 +249,14 @@ def detect_period(
     max_drift = 0.0
     initial_energy = system.energy(x0)
     time_tol = eps * 1e-3
-    dt = sample_spacing
-    chunk = initial_chunk
+    dt = SAMPLE_SPACING
+    chunk = INITIAL_CHUNK
 
     start = 0.0
     state = x0
     while start < t_max:
         stop = min(start + chunk, t_max)
-        chunk = min(2.0 * chunk, max_chunk)
+        chunk = min(2.0 * chunk, MAX_CHUNK)
         trajectory = integrate(system, state, stop, rtol=rtol, atol=atol, t_start=start)
         if trajectory.max_energy_drift is not None:
             max_drift = max(max_drift, trajectory.max_energy_drift)
@@ -363,7 +350,7 @@ class PeriodTable:
         return rows
 
 
-def find_energy_point(system: FlowSystem, energy: float, rng, direction_tries: int = 8):
+def find_energy_point(system: FlowSystem, energy: float, rng):
     """A phase-space point with H = energy, by scaling a random direction.
 
     One-dimensional root finding along the ray: doubling bracket, then
@@ -378,7 +365,7 @@ def find_energy_point(system: FlowSystem, energy: float, rng, direction_tries: i
         compile_scalar(system.hamiltonian.derivative(i), system.constant_values)
         for i in range(dim)
     ]
-    for _ in range(direction_tries):
+    for _ in range(DIRECTION_TRIES):
         direction = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
         norm = float(np.linalg.norm(direction))
         if norm == 0.0:
@@ -483,6 +470,10 @@ class DependenceResult:
         }
 
 
+def _relative_spread(values):
+    return (max(values) - min(values)) / max(abs(max(values)), 1e-300)
+
+
 def dependence_test(table: PeriodTable, rel_tol: float = 1e-6) -> DependenceResult:
     """Periods must agree across seeds on each energy level.
 
@@ -499,7 +490,7 @@ def dependence_test(table: PeriodTable, rel_tol: float = 1e-6) -> DependenceResu
         if len(periods) < 2:
             continue
         informative = True
-        spread = (max(periods) - min(periods)) / max(abs(max(periods)), 1e-300)
+        spread = _relative_spread(periods)
         spreads[level] = spread
         if spread > rel_tol:
             violations.extend(r for r in records if r.converged)
@@ -540,12 +531,8 @@ def equivalence_obstruction(
     periods_b = b.converged_periods()
     if not periods_a or not periods_b:
         return ObstructionResult(obstructed=False, reason="insufficient period data")
-
-    def spread(values):
-        return (max(values) - min(values)) / max(abs(max(values)), 1e-300)
-
-    constant_a = spread(periods_a) <= rel_tol
-    constant_b = spread(periods_b) <= rel_tol
+    constant_a = _relative_spread(periods_a) <= rel_tol
+    constant_b = _relative_spread(periods_b) <= rel_tol
     if constant_a != constant_b:
         return ObstructionResult(
             obstructed=True, reason="constant vs energy-dependent period"

@@ -22,10 +22,7 @@ def file_digest(path: str) -> str:
 
 
 def fraction_str(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def matrix_to_dict(matrix) -> dict:

@@ -331,6 +331,9 @@ class _RequestParser:
                 "k": _integer(kwargs.get("k", "1"), line),
                 "lam": _fraction(kwargs.get("lam", "1"), line),
             }
+            if options["k"] < 1:
+                raise ParseError(f"altgen k must be a positive integer, got {options['k']}",
+                                 line=line)
             return objects, options
         if "tensor" in kwargs:
             unknown = set(kwargs) - {"tensor", "invariant", "field"}
@@ -358,9 +361,10 @@ class _RequestParser:
             raise ParseError("period needs: <scalar> energies=[...] seeds=<n>", line=line)
         if "energies" not in kwargs:
             raise ParseError("period needs energies=[...]", line=line)
-        energies = [
-            float(_fraction(x, line)) for x in parse_nested_list(kwargs["energies"], line=line)
-        ]
+        entries = parse_nested_list(kwargs["energies"], line=line)
+        if any(isinstance(x, list) for x in entries):
+            raise ParseError("energies must be a flat list of rationals", line=line)
+        energies = [float(_fraction(x, line)) for x in entries]
         seeds = _integer(kwargs.get("seeds", "3"), line)
         unknown = set(kwargs) - {"energies", "seeds"}
         if unknown:
@@ -428,11 +432,19 @@ def parse_system_file(text: str, path: str = "<string>") -> SystemFile:
     """Parse a system-definition file; raises :class:`ParseError` with
     line information on any defect, including unresolved names."""
     chart_names = None
+    chart_line = None
     constants = []
     constant_values = {}
     objects_seen_before_constants = False
     system = None
     pending_requests = []
+
+    def new_system():
+        try:
+            chart = Chart(chart_names, constants=constants)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=chart_line) from exc
+        return SystemFile(path=path, chart=chart, objects={}, constant_values=dict(constant_values))
 
     for line, content in _logical_lines(text):
         head, _, rest = content.partition(" ")
@@ -442,6 +454,7 @@ def parse_system_file(text: str, path: str = "<string>") -> SystemFile:
             if chart_names is not None:
                 raise ParseError("only one chart per file", line=line)
             chart_names = _names_list(rest, line)
+            chart_line = line
             if not chart_names:
                 raise ParseError("chart needs coordinate names", line=line)
             continue
@@ -463,13 +476,7 @@ def parse_system_file(text: str, path: str = "<string>") -> SystemFile:
             if chart_names is None:
                 raise ParseError("chart must be declared before objects", line=line)
             if system is None:
-                try:
-                    chart = Chart(chart_names, constants=constants)
-                except ValueError as exc:
-                    raise ParseError(str(exc), line=line) from exc
-                system = SystemFile(
-                    path=path, chart=chart, objects={}, constant_values=dict(constant_values)
-                )
+                system = new_system()
             objects_seen_before_constants = True
             name, _, value = rest.partition("=")
             name = name.strip()
@@ -504,10 +511,7 @@ def parse_system_file(text: str, path: str = "<string>") -> SystemFile:
     if chart_names is None:
         raise ParseError("file declares no chart", line=1)
     if system is None:
-        chart = Chart(chart_names, constants=constants)
-        system = SystemFile(
-            path=path, chart=chart, objects={}, constant_values=dict(constant_values)
-        )
+        system = new_system()
     parser = _RequestParser(system)
     seen = set()
     for kind, name, args, line in pending_requests:

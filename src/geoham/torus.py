@@ -65,7 +65,10 @@ def integer_kernel(matrix, ncols):
 
     Runs row reduction on [matrixᵀ | I]; rows whose left block clears
     have right blocks forming a saturated kernel basis (the transform is
-    unimodular, so no finite-index sublattice can sneak in).
+    unimodular, so no finite-index sublattice can sneak in).  That block
+    is already in HNF: its rows are echelon with positive pivots, the
+    same pass reduced the entries above each pivot, and none is zero
+    because [matrixᵀ | I] has full row rank.
     """
     nrows = len(matrix)
     aug = []
@@ -73,9 +76,7 @@ def integer_kernel(matrix, ncols):
         row = [matrix[r][i] for r in range(nrows)] + [1 if j == i else 0 for j in range(ncols)]
         aug.append(row)
     reduced = row_hermite_normal_form(aug)
-    kernel_rows = [row[nrows:] for row in reduced if all(x == 0 for x in row[:nrows])]
-    kernel_rows = [row for row in row_hermite_normal_form(kernel_rows) if any(row)]
-    return kernel_rows
+    return [row[nrows:] for row in reduced if all(x == 0 for x in row[:nrows])]
 
 
 class FrequencySpec:

@@ -1,11 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import geoham
 from geoham.cli import run
 from geoham.expr import parse_expression
 from geoham.sysfile import load_system_file, parse_form_literal, parse_vector_field_literal
@@ -221,8 +225,11 @@ def test_odd_dimensional_chart_exits_2(tmp_path, capsys, subcommand, text):
         ("period", "period s : H energies=[1] seeds=three", "bad integer literal 'three'"),
         ("period", "period s : H energies=[abc] seeds=2", "bad rational literal 'abc'"),
         ("altgen", "altgen e : matrix=A k=x lam=1", "bad integer literal 'x'"),
+        ("altgen", "altgen e : matrix=A k=0 lam=1", "altgen k must be a positive integer, got 0"),
+        ("period", "period s : H energies=[[1]] seeds=2",
+         "energies must be a flat list of rationals"),
     ],
-    ids=["seeds", "energies", "k"],
+    ids=["seeds", "energies", "k", "k-zero", "energies-nested"],
 )
 def test_bad_option_literal_is_a_located_parse_error(tmp_path, capsys, subcommand, request_line,
                                                      message):
@@ -230,6 +237,33 @@ def test_bad_option_literal_is_a_located_parse_error(tmp_path, capsys, subcomman
     code, err = run_text(tmp_path, capsys, subcommand, text)
     assert code == 1
     assert err == f"parse error: {message} at line 4\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["chart q, q\n", "chart q, q\nscalar H = q\nverify v : G w H\n"],
+    ids=["alone", "with-objects"],
+)
+def test_duplicate_chart_symbol_is_a_located_parse_error(tmp_path, capsys, text):
+    code, err = run_text(tmp_path, capsys, "verify", text)
+    assert code == 1
+    assert err == "parse error: duplicate symbol name 'q' at line 1\n"
+
+
+def test_constant_that_zeroes_a_denominator_exits_2(tmp_path, capsys):
+    text = ("chart q, p\nconstants omega = 0\nscalar H = p^2/2 + q/omega\n"
+            "period s : H energies=[1] seeds=1\n")
+    code, err = run_text(tmp_path, capsys, "period", text)
+    assert code == 2
+    assert err.startswith("analysis error:") and "vanishes at the declared constant values" in err
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoham.__file__)))
+    check = "import sys, geoham.cli; assert 'scipy.integrate' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_missing_file_exit_code():
