@@ -36,6 +36,11 @@ class PoleError(GeohamError):
     """A rational function was evaluated where its denominator vanishes."""
 
 
+class CoefficientRangeError(GeohamError):
+    """A coefficient of a compiled flow, with the declared constants folded
+    in, is beyond the float range."""
+
+
 class ExponentLimitError(GeohamError):
     """A polynomial exponent exceeded the per-variable limit (2**16)."""
 

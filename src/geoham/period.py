@@ -1,8 +1,9 @@
 """Numerical flow integration, period detection, and the energy-period
 dependence and obstruction tests.
 
-Integration uses the Dormand-Prince 5(4) embedded pair with dense
-output (scipy's RK45).  Period detection works with the full
+Integration uses the Dormand-Prince 5(4) embedded pair with its
+continuous extension for dense output, stepped on plain float lists.
+Period detection works with the full
 phase-space return to the seed point, so quasi-periodic orbits report
 no period instead of aliasing; the first re-entry into an eps-ball is
 refined by golden-section minimization of the distance along the dense
@@ -19,11 +20,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionError, IntegrationError, PoleError, RootFindError
-from .expr import Chart, RationalFunction
+from .errors import (CoefficientRangeError, DimensionError, IntegrationError, PoleError,
+                     RootFindError)
+from .expr import Chart, Polynomial, RationalFunction
 from .geom import DifferentialForm, VectorField, differential, interior_product
 
 #: First integration chunk of the return search; chunks then double up to MAX_CHUNK.
@@ -39,7 +43,7 @@ def _polynomial_source(poly, chart: Chart, constant_values):
     dim = chart.dimension
     pieces = []
     for exps in sorted(poly.terms):
-        coeff = float(poly.terms[exps])
+        coeff = poly.terms[exps]
         factors = []
         for axis, e in enumerate(exps):
             if e == 0:
@@ -50,8 +54,13 @@ def _polynomial_source(poly, chart: Chart, constant_values):
                 name = chart.variables[axis]
                 if constant_values is None or name not in constant_values:
                     raise ValueError(f"no numeric value supplied for constant {name!r}")
-                coeff *= float(constant_values[name]) ** e
-        term = repr(coeff)
+                coeff *= Fraction(constant_values[name]) ** e
+        try:  # folded exactly and rounded once, so no inf literal reaches the source
+            term = repr(float(coeff))
+        except OverflowError:
+            monomial = Polynomial(poly.chart, {exps: poly.terms[exps]})
+            message = f"the coefficient of {monomial} is beyond the float range"
+            raise CoefficientRangeError(message) from None
         if factors:
             term += "*" + "*".join(factors)
         pieces.append(term)
@@ -64,7 +73,8 @@ def _rational_source(f: RationalFunction, chart: Chart, constant_values):
     A denominator with no coordinate factor compiles to float literals
     only, so it is evaluated here: a zero raises PoleError instead of a
     ZeroDivisionError from the compiled function.  Every other division
-    has a numpy operand and cannot raise.
+    has a state operand: on numpy arrays it cannot raise, and the stepper,
+    which passes float lists, rejects a step whose stage raises.
     """
     num_src = _polynomial_source(f.num, chart, constant_values)
     if f.den.is_constant:
@@ -145,11 +155,135 @@ class FlowSystem:
         return self._rhs(t, y)
 
 
+# Dormand-Prince 5(4) (Hairer, Nørsett & Wanner, Solving ODEs I, §II.4-II.6) with
+# Shampine's quartic continuous extension: y(t_old + xh) = y_old + h·Σ_j (K·P)_j x^(j+1).
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+#: Step-size control: h is scaled by SAFETY·err^(−1/5), clamped to [MIN_FACTOR, MAX_FACTOR].
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _rms(values):
+    return math.hypot(*values) / math.sqrt(len(values))
+
+
+def _dopri_step(rhs, t, y, k1, h, rtol, atol):
+    """One step of size h from (t, y) with k1 = f(t, y): the new state, the
+    seven stages, and the RMS of the 5th-minus-4th-order error scaled by the tolerances."""
+    k2 = rhs(t + 1/5 * h, [v + (1/5 * a) * h for v, a in zip(y, k1)])
+    k3 = rhs(t + 3/10 * h, [v + (3/40 * a + 9/40 * b) * h for v, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + 4/5 * h, [v + (44/45 * a - 56/15 * b + 32/9 * c) * h
+                           for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs(t + 8/9 * h, [v + (19372/6561 * a - 25360/2187 * b + 64448/6561 * c - 212/729 * d) * h
+                           for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [v + (9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d
+                          - 5103/18656 * e) * h for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + (35/384 * a + 500/1113 * c + 125/192 * d - 2187/6784 * e + 11/84 * f) * h
+             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    err = _rms([(-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e - 22/525 * f
+                 + 1/40 * g) * h / (atol + max(abs(v), abs(w)) * rtol)
+                for a, c, d, e, f, g, v, w in zip(k1, k3, k4, k5, k6, k7, y, y_new)])
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+
+
+def _initial_step(rhs, t, y, f, span, rtol, atol):
+    """Hairer's starting step: h0 from the sizes of y and f, checked against one Euler step."""
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([a / s for a, s in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    try:
+        f1 = rhs(t + h0, [v + h0 * a for v, a in zip(y, f)])
+        d2 = _rms([(b - a) / s for a, b, s in zip(f, f1, scale)]) / h0
+    except (ZeroDivisionError, OverflowError):
+        d2 = math.inf
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span)
+
+
+def _dopri(rhs, t, t_end, y, rtol, atol):
+    """Adaptive steps from (t, y) to t_end: step times, start states and stages.
+
+    A step is accepted when the RMS of its scaled error is below 1; no
+    accepted step grows h after a rejection.  A stage that divides by zero
+    or overflows, or a non-finite error, rejects the step at MIN_FACTOR, so
+    a pole ends in IntegrationError once h falls below 10 ulp(t).
+    """
+    try:
+        f = rhs(t, y)
+    except (ZeroDivisionError, OverflowError):
+        raise IntegrationError(f"the field is singular at the initial state {y}") from None
+    h_abs = _initial_step(rhs, t, y, f, t_end - t, rtol, atol)
+    ts, states, stages = [t], [], []
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"step size fell below the float spacing at t = {t!r}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            try:
+                y_new, k, err = _dopri_step(rhs, t, y, f, h, rtol, atol)
+            except (ZeroDivisionError, OverflowError):
+                err = math.inf
+            if err < 1.0:
+                break
+            shrink = max(MIN_FACTOR, SAFETY * err ** -0.2) if math.isfinite(err) else MIN_FACTOR
+            h_abs = h * shrink
+            rejected = True
+        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.2)
+        h_abs = h * (min(1.0, factor) if rejected else factor)
+        ts.append(t_new)
+        states.append(y)
+        stages.append(k)
+        t, y, f = t_new, y_new, k[6]
+    return ts, states, stages
+
+
+class DenseSolution:
+    """The continuous extension of every step, at a scalar or an array of times.
+
+    A time on a step boundary uses the step that ends there; a time
+    outside [ts[0], ts[-1]] extrapolates the nearest step.
+    """
+
+    def __init__(self, ts, states, stages):
+        self.ts = np.array(ts)
+        self.h = np.diff(self.ts)
+        self.y_old = np.array(states)
+        flat = chain.from_iterable(chain.from_iterable(stages))
+        K = np.fromiter(flat, float, count=self.y_old.size * 7).reshape(len(states), 7, -1)
+        self.Q = np.einsum("msn,sj->mnj", K, _P)
+
+    def __call__(self, t):
+        """The state (dim,) at a scalar t, or the states (dim, m) at m times."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.h) - 1)
+        h = self.h[i]
+        x = ((t - self.ts[i]) / h)[..., None]
+        Q = self.Q[i]
+        p = (((Q[..., 3] * x + Q[..., 2]) * x + Q[..., 1]) * x + Q[..., 0]) * x
+        return (self.y_old[i] + h[..., None] * p).T
+
+
 @dataclass
 class Trajectory:
     """Dense solution of one integration, with energy-drift monitoring."""
 
-    solution: object
+    solution: DenseSolution
     initial_energy: float | None
     max_energy_drift: float | None
 
@@ -157,43 +291,28 @@ class Trajectory:
         return np.asarray(self.solution(t), dtype=float)
 
 
-def integrate(
-    system: FlowSystem,
-    x0,
-    t_end: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    t_start: float = 0.0,
-) -> Trajectory:
+def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
+              t_start: float = 0.0) -> Trajectory:
     """Integrate the flow with the adaptive Dormand-Prince 5(4) pair.
 
     Dense output is always kept; the trajectory records the maximum
-    energy drift |H(x(t)) − H(x0)| over the solver steps and a refining
-    sample grid.
+    energy drift |H(x(t)) − H(x0)| over a grid of max(64, 4·steps)
+    samples.
     """
-    # scipy.integrate takes most of a cold import; only integration needs it
-    from scipy.integrate import solve_ivp
-
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
     if rtol <= 0 or atol <= 0:
         raise ValueError("tolerances must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    result = solve_ivp(
-        system.rhs, (t_start, t_end), x0, method="RK45", rtol=rtol, atol=atol, dense_output=True
-    )
-    if not result.success:
-        raise IntegrationError(result.message)
+    x0 = [float(v) for v in x0]
+    ts, states, stages = _dopri(system.rhs, float(t_start), float(t_end), x0, rtol, atol)
+    solution = DenseSolution(ts, states, stages)
     initial_energy = system.energy(x0)
     max_drift = None
     if initial_energy is not None:
-        ts = np.linspace(t_start, t_end, max(64, 4 * len(result.t)))
-        states = result.sol(ts)
-        energies = [system.energy(states[:, i]) for i in range(states.shape[1])]
-        max_drift = float(max(abs(e - initial_energy) for e in energies))
-    return Trajectory(
-        solution=result.sol, initial_energy=initial_energy, max_energy_drift=max_drift
-    )
+        # one call on the (dim × m) samples; a constant H returns one float
+        samples = solution(np.linspace(t_start, t_end, max(64, 4 * len(ts))))
+        max_drift = float(np.max(np.abs(system._energy(samples) - initial_energy)))
+    return Trajectory(solution=solution, initial_energy=initial_energy, max_energy_drift=max_drift)
 
 
 @dataclass
@@ -225,14 +344,8 @@ def _golden_minimize(f, a, b, tol):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def detect_period(
-    system: FlowSystem,
-    x0,
-    eps: float = 1e-6,
-    t_max: float = 1e3,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> PeriodDetection:
+def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
+                  rtol: float = 1e-10, atol: float = 1e-12) -> PeriodDetection:
     """Find the first full phase-space return of the orbit through x0.
 
     The orbit must first leave the eps-ball around the seed; the first
@@ -245,62 +358,44 @@ def detect_period(
     if eps <= 0 or t_max <= 0:
         raise ValueError("eps and t_max must be positive")
     x0 = np.asarray(x0, dtype=float)
+    max_drift = 0.0 if system.energy(x0) is not None else None
     left_ball = False
-    max_drift = 0.0
-    initial_energy = system.energy(x0)
-    time_tol = eps * 1e-3
-    dt = SAMPLE_SPACING
     chunk = INITIAL_CHUNK
-
     start = 0.0
     state = x0
     while start < t_max:
         stop = min(start + chunk, t_max)
         chunk = min(2.0 * chunk, MAX_CHUNK)
         trajectory = integrate(system, state, stop, rtol=rtol, atol=atol, t_start=start)
-        if trajectory.max_energy_drift is not None:
+        if max_drift is not None:
             max_drift = max(max_drift, trajectory.max_energy_drift)
-        count = max(16, int(round((stop - start) / dt)))
-        ts = np.linspace(start, stop, count)
-        states = trajectory.solution(ts)
-        dists = np.sqrt(np.sum((states - x0[:, None]) ** 2, axis=0))
+        ts = np.linspace(start, stop, max(16, int(round((stop - start) / SAMPLE_SPACING))))
+        dists = np.sqrt(np.sum((trajectory.solution(ts) - x0[:, None]) ** 2, axis=0))
+        inner = dists[1:-1]
+        first = 0  # candidate minima start after the sample that leaves the ball
+        if not left_ball:
+            outside = np.flatnonzero(inner > eps)
+            left_ball = outside.size > 0
+            first = outside[0] + 1 if left_ball else inner.size
+        minima = np.flatnonzero((inner <= dists[:-2]) & (inner <= dists[2:]))
 
         def distance(t, sol=trajectory.solution):
-            return float(np.linalg.norm(np.asarray(sol(t)) - x0))
+            return float(np.linalg.norm(sol(t) - x0))
 
-        for i in range(1, len(ts) - 1):
-            if not left_ball:
-                if dists[i] > eps:
-                    left_ball = True
-                continue
-            if dists[i] <= dists[i - 1] and dists[i] <= dists[i + 1]:
-                t_best, d_best = _golden_minimize(
-                    distance, float(ts[i - 1]), float(ts[i + 1]), time_tol
-                )
-                if d_best <= eps:
-                    return PeriodDetection(
-                        periodic=True,
-                        period=float(t_best),
-                        min_distance=float(d_best),
-                        ambiguous=d_best > eps / 10.0,
-                        reason=None,
-                        max_energy_drift=max_drift if initial_energy is not None else None,
-                    )
+        for i in minima[minima >= first] + 1:
+            t_best, d_best = _golden_minimize(distance, float(ts[i - 1]), float(ts[i + 1]),
+                                              eps * 1e-3)
+            if d_best <= eps:
+                return PeriodDetection(True, float(t_best), float(d_best), d_best > eps / 10.0,
+                                       None, max_drift)
         if stop >= t_max:
             break
         # restart slightly before the chunk end so boundary minima fall in the
         # interior of the next scan window
-        start = stop - 2.0 * dt
+        start = stop - 2.0 * SAMPLE_SPACING
         state = trajectory.state_at(start)
     reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
-    return PeriodDetection(
-        periodic=False,
-        period=None,
-        min_distance=None,
-        ambiguous=False,
-        reason=reason,
-        max_energy_drift=max_drift if initial_energy is not None else None,
-    )
+    return PeriodDetection(False, None, None, False, reason, max_drift)
 
 
 @dataclass
@@ -314,6 +409,8 @@ class PeriodRecord:
     converged: bool
     ambiguous: bool
     drift: float | None
+    reason: str | None = None
+    min_distance: float | None = None
 
 
 @dataclass
@@ -350,6 +447,7 @@ class PeriodTable:
         return rows
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # H may have a pole on the ray
 def find_energy_point(system: FlowSystem, energy: float, rng):
     """A phase-space point with H = energy, by scaling a random direction.
 
@@ -407,20 +505,14 @@ def find_energy_point(system: FlowSystem, energy: float, rng):
     raise RootFindError(f"no phase-space point found with energy {energy}")
 
 
-def period_energy_scan(
-    system: FlowSystem,
-    energies,
-    seeds_per_energy: int,
-    seed: int = 0,
-    eps: float = 1e-6,
-    t_max: float = 1e3,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> PeriodTable:
+def period_energy_scan(system: FlowSystem, energies, seeds_per_energy: int, seed: int = 0,
+                       eps: float = 1e-6, t_max: float = 1e3, rtol: float = 1e-10,
+                       atol: float = 1e-12) -> PeriodTable:
     """Sample periods at requested energies from seeded random directions.
 
     Levels where no point attains the energy are reported empty in the
-    table notes rather than failing the whole scan.
+    table notes, and a seed whose integration fails is an unconverged
+    record with the reason, rather than failing the whole scan.
     """
     rng = random.Random(seed)
     records = []
@@ -432,9 +524,11 @@ def period_energy_scan(
             except RootFindError as exc:
                 notes.append(f"energy {level}: {exc}")
                 break
-            detection = detect_period(
-                system, x0, eps=eps, t_max=t_max, rtol=rtol, atol=atol
-            )
+            try:
+                detection = detect_period(system, x0, eps=eps, t_max=t_max, rtol=rtol, atol=atol)
+            except IntegrationError as exc:
+                detection = PeriodDetection(False, None, None, False, f"integration failed: {exc}",
+                                            None)
             records.append(
                 PeriodRecord(
                     seed=tuple(float(x) for x in x0),
@@ -444,6 +538,8 @@ def period_energy_scan(
                     converged=detection.periodic and not detection.ambiguous,
                     ambiguous=detection.ambiguous,
                     drift=detection.max_energy_drift,
+                    reason=detection.reason,
+                    min_distance=detection.min_distance,
                 )
             )
     return PeriodTable(records=records, notes=notes)

@@ -47,6 +47,8 @@ def period_table_to_dict(table) -> dict:
                 "converged": r.converged,
                 "ambiguous": r.ambiguous,
                 "drift": r.drift,
+                "reason": r.reason,
+                "min_distance": r.min_distance,
             }
             for r in table.records
         ],

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -258,11 +259,43 @@ def test_constant_that_zeroes_a_denominator_exits_2(tmp_path, capsys):
     assert err.startswith("analysis error:") and "vanishes at the declared constant values" in err
 
 
+def test_constant_beyond_the_float_range_exits_2(tmp_path, capsys):
+    text = (f"chart q, p\nconstants omega = 1{'0' * 200}\nscalar H = p^2/2 + omega^2*q^2\n"
+            "period s : H energies=[1] seeds=1\n")
+    code, err = run_text(tmp_path, capsys, "period", text)
+    assert code == 2
+    assert err == "analysis error: the coefficient of q^2*omega^2 is beyond the float range\n"
+
+
+def test_period_scan_survives_a_seed_that_hits_a_pole(tmp_path):
+    path = tmp_path / "kepler.sys"
+    path.write_text("chart q, p\nscalar H = p^2/2 - 1/q\nperiod s : H energies=[-1, 1/2] seeds=2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run_json("period", str(path), "--seed", "1")
+    assert code == 0
+    records = report["results"][0]["table"]["records"]
+    assert [r["level"] for r in records] == [-1.0, -1.0, 0.5, 0.5]
+    failed = [r for r in records if r["reason"].startswith("integration failed: step size")]
+    assert failed and all(not r["converged"] and r["period"] is None for r in failed)
+    assert any(r["reason"] == "no return within t_max" for r in records)
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(geoham.__file__)))
     check = "import sys, geoham.cli; assert 'scipy.integrate' not in sys.modules"
     result = subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_period_run_leaves_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoham.__file__)))
+    check = ("import io, sys; from geoham.cli import run\n"
+             "assert run(['period', sys.argv[1]], stdout=io.StringIO()) == 0\n"
+             "assert 'scipy.integrate' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", check, fixture("harmonic.sys")],
+                            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from geoham import catalog
-from geoham.errors import RootFindError
+from geoham import period
+from geoham.errors import IntegrationError, RootFindError
 from geoham.expr import Chart, parse_expression
 from geoham.geom import VectorField
 from geoham.period import (
     FlowSystem,
     PeriodRecord,
     PeriodTable,
+    Trajectory,
     dependence_test,
     detect_period,
     equivalence_obstruction,
@@ -31,6 +33,12 @@ def harmonic_system():
 def quartic_system():
     chart = catalog.planar_chart()
     return FlowSystem(chart, hamiltonian=catalog.quartic_hamiltonian(chart))
+
+
+def torus_system():
+    chart = Chart(["q1", "q2", "p1", "p2"], constants=["w"])
+    h = parse_expression("1/2*(p1^2+q1^2) + w/2*(p2^2+q2^2)", chart)
+    return FlowSystem(chart, hamiltonian=h, constant_values={"w": math.sqrt(2.0)})
 
 
 def quartic_period(energy):
@@ -114,6 +122,69 @@ def test_integrate_validates_arguments():
         integrate(system, [1.0, 0.0], 1.0, rtol=-1.0)
 
 
+def test_integrate_through_a_pole_raises_integration_error():
+    chart = Chart(["q", "p"])
+    field = VectorField(chart, [chart.one(), parse_expression("1/q", chart)])
+    with pytest.raises(IntegrationError):
+        integrate(FlowSystem(chart, field=field), [-1.0, 0.0], 2.0)
+
+
+def test_a_stage_that_raises_rejects_the_step_until_the_step_collapses():
+    def rhs(t, y):
+        if t > 0.5:
+            raise ZeroDivisionError
+        return [1.0, 0.0]
+
+    with pytest.raises(IntegrationError, match="t = 0.49999"):
+        period._dopri(rhs, 0.0, 1.0, [0.0, 0.0], 1e-10, 1e-12)
+
+
+def test_constant_hamiltonian_reports_zero_drift():
+    chart = Chart(["q", "p"])
+    field = VectorField(chart, [chart.one(), chart.zero()])
+    system = FlowSystem(chart, hamiltonian=parse_expression("3", chart), field=field)
+    assert integrate(system, [1.0, 2.0], 5.0).max_energy_drift == 0.0
+
+
+# -- oracle: scipy's RK45, the same method and step control --------------------------
+
+def solve_ivp_integrate(system, x0, t_end, rtol=1e-10, atol=1e-12, t_start=0.0):
+    from scipy.integrate import solve_ivp
+
+    result = solve_ivp(system.rhs, (t_start, t_end), np.asarray(x0, dtype=float),
+                       method="RK45", rtol=rtol, atol=atol, dense_output=True)
+    assert result.success
+    return Trajectory(solution=result.sol, initial_energy=system.energy(x0), max_energy_drift=0.0)
+
+
+@pytest.mark.parametrize(
+    "make,x0,t_end",
+    [(harmonic_system, [1.0, 0.3], 20.0), (quartic_system, [1.0, 0.0], 10.0),
+     (torus_system, [1.0, 1.0, 0.0, 0.5], 30.0)],
+    ids=["harmonic", "quartic", "torus"],
+)
+def test_integrate_agrees_with_solve_ivp(make, x0, t_end):
+    system = make()
+    trajectory = integrate(system, x0, t_end)
+    oracle = solve_ivp_integrate(system, x0, t_end)
+    grid = np.linspace(0.0, t_end, 1000)
+    expected = oracle.solution(grid)
+    scale = float(np.abs(expected).max())
+    assert np.abs(trajectory.state_at(t_end) - oracle.state_at(t_end)).max() <= 1e-8 * scale
+    assert np.abs(trajectory.solution(grid) - expected).max() <= 1e-8 * scale
+    assert trajectory.solution(grid).shape == (len(x0), 1000)
+
+
+def test_detect_period_agrees_with_solve_ivp(monkeypatch):
+    cases = [(harmonic_system(), [0.3, 1.7]), (quartic_system(), [1.3, 0.4]),
+             (torus_system(), [1.0, 0.0, 0.0, 0.0])]
+    periods = [detect_period(system, x0).period for system, x0 in cases]
+    monkeypatch.setattr(period, "integrate", solve_ivp_integrate)
+    for (system, x0), found in zip(cases, periods):
+        expected = detect_period(system, x0).period
+        assert abs(found - expected) <= 1e-8 * expected
+
+
 # -- detect_period ------------------------------------------------------------------
 
 def test_detect_period_harmonic():
@@ -150,10 +221,7 @@ def test_detect_period_free_particle_not_periodic():
 
 
 def test_detect_period_quasi_periodic_torus_not_periodic():
-    chart = Chart(["q1", "q2", "p1", "p2"], constants=["w"])
-    h = parse_expression("1/2*(p1^2+q1^2) + w/2*(p2^2+q2^2)", chart)
-    system = FlowSystem(chart, hamiltonian=h, constant_values={"w": math.sqrt(2.0)})
-    detection = detect_period(system, [1.0, 1.0, 0.0, 0.0], t_max=60.0)
+    detection = detect_period(torus_system(), [1.0, 1.0, 0.0, 0.0], t_max=60.0)
     assert not detection.periodic
 
 
