@@ -293,6 +293,9 @@ def run(argv=None, stdout=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    except GeohamError as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1

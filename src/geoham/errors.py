@@ -45,6 +45,10 @@ class ExponentLimitError(GeohamError):
     """A polynomial exponent exceeded the per-variable limit (2**16)."""
 
 
+class ExpressionSizeError(GeohamError):
+    """A polynomial product exceeded the term-pair budget (``expr.MAX_TERM_PAIRS``)."""
+
+
 class NotDecomposableError(GeohamError):
     """A linear system admits no Poisson-times-symmetric factorization.
 

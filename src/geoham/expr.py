@@ -7,8 +7,13 @@ Everything symbolic in this package is built from three types:
   extended by named symbolic constants (``omega``, ``lam``, ...).
   Constants behave like extra variables that derivatives treat as
   scalars.
-* :class:`Polynomial` -- sparse terms ``exponent tuple -> Fraction``,
-  kept canonical (no zero coefficients), so equality is dict equality.
+* :class:`Polynomial` -- sparse terms ``packed exponent key -> int``
+  over one positive int denominator, kept canonical, so equality is
+  dict equality.  A key packs a monomial into one int with 18-bit
+  slots: the total degree in the top slot, then variable 0, down to the
+  last variable in the lowest slot.  Integer order on keys is therefore
+  graded-lex order, a monomial product is a key sum, and
+  ``d/dx_i`` subtracts ``(1 << shift_i) + (1 << shift_degree)``.
 * :class:`RationalFunction` -- a numerator/denominator pair.  Quotients
   are *not* reduced to lowest terms (no multivariate gcd); equality is
   decided by cross-multiplication, which is exact regardless of the
@@ -20,19 +25,27 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import string
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from functools import reduce
+from itertools import chain
+from math import gcd, lcm
+from operator import or_
+from typing import Sequence, Union
 
-from .errors import (
-    ChartMismatchError,
-    ExponentLimitError,
-    ParseError,
-    PoleError,
-    UnknownSymbolError,
-)
+from .errors import (ChartMismatchError, ExponentLimitError, ExpressionSizeError, ParseError,
+                     PoleError, UnknownSymbolError)
 
 #: Largest exponent a single variable may carry; guards runaway expansion.
 MAX_EXPONENT = 2 ** 16
+#: Largest term-pair count of one polynomial product (len(a) * len(b)); about
+#: 300x the largest product of the fixtures and the benchmark workloads.
+MAX_TERM_PAIRS = 1_000_000
+# Width of one exponent slot of a packed key: a product of two polynomials
+# within MAX_EXPONENT (at most 2^17 per variable) never carries into the next slot.
+_SLOT_BITS = 18
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
 
 Scalar = Union[int, Fraction]
 
@@ -45,7 +58,7 @@ class Chart:
     in expressions whose derivatives along coordinates vanish.
     """
 
-    __slots__ = ("names", "constants", "_index")
+    __slots__ = ("names", "constants", "_index", "_shifts", "_degree_shift")
 
     def __init__(self, names: Sequence[str], constants: Sequence[str] = ()):
         names = tuple(names)
@@ -62,6 +75,14 @@ class Chart:
         self.names = names
         self.constants = constants
         self._index = {n: i for i, n in enumerate(names + constants)}
+        self._shifts = tuple(_SLOT_BITS * i for i in reversed(range(len(self._index))))
+        self._degree_shift = _SLOT_BITS * len(self._index)
+
+    def _pack(self, exps) -> int:
+        return sum(e << s for e, s in zip(exps, self._shifts)) + (sum(exps) << self._degree_shift)
+
+    def _unpack(self, key: int) -> tuple:
+        return tuple(key >> s & _SLOT_MASK for s in self._shifts)
 
     @property
     def dimension(self) -> int:
@@ -99,11 +120,8 @@ class Chart:
         return self.scalar(1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Chart)
-            and self.names == other.names
-            and self.constants == other.constants
-        )
+        return (isinstance(other, Chart) and self.names == other.names
+                and self.constants == other.constants)
 
     def __hash__(self):
         return hash((self.names, self.constants))
@@ -121,27 +139,61 @@ def _is_identifier(name: str) -> bool:
 
 
 def require_same_chart(a, b):
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatchError(f"chart mismatch: {a.chart!r} vs {b.chart!r}")
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _polynomial(chart: Chart, terms: dict, den: int = 1) -> "Polynomial":
+    """A Polynomial from packed terms without zero coefficients over ``den`` > 0,
+    with the common factor of ``den`` and the numerators divided out."""
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
+    poly = object.__new__(Polynomial)
+    poly.chart, poly._terms, poly._den = chart, terms, den
+    return poly
+
+
+class _TermsView(Mapping):
+    """Read-only ``exponent tuple -> Fraction`` view of a polynomial's terms."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "Polynomial"):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        return map(self._poly.chart._unpack, self._poly._terms)
+
+    def __getitem__(self, exps):
+        key = self._poly.chart._pack(exps)
+        if self._poly.chart._unpack(key) != exps or key not in self._poly._terms:
+            raise KeyError(exps)
+        return Fraction(self._poly._terms[key], self._poly._den)
 
 
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms map an exponent tuple (one entry per chart variable,
-    constants included) to a non-zero ``Fraction``.  The representation
-    is canonical, so ``==`` is plain dict comparison.
+    ``_terms`` maps a packed exponent key (see the module docstring) to a
+    non-zero int numerator, and ``_den`` is one positive int denominator.
+    The form is canonical: gcd(_den, all numerators) = 1, and the zero
+    polynomial has ``_den == 1``, so ``==`` is plain dict comparison.
+    ``terms`` is the same data as ``exponent tuple -> Fraction``.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_terms", "_den")
 
     def __init__(self, chart: Chart, terms: Mapping[tuple, Fraction]):
         nvars = len(chart.variables)
@@ -153,74 +205,79 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError("exponent tuple length does not match chart")
-            for e in exps:
-                if e < 0:
-                    raise ValueError("negative exponent")
-                if e > MAX_EXPONENT:
-                    raise ExponentLimitError(f"exponent {e} exceeds limit {MAX_EXPONENT}")
-            clean[exps] = coeff
-        self.chart = chart
-        self.terms = clean
+            if min(exps) < 0:
+                raise ValueError("negative exponent")
+            if max(exps) > MAX_EXPONENT:
+                raise ExponentLimitError(f"exponent {max(exps)} exceeds limit {MAX_EXPONENT}")
+            clean[chart._pack(exps)] = coeff
+        den = lcm(1, *(c.denominator for c in clean.values()))
+        self.chart, self._den = chart, den
+        self._terms = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+
+    terms = property(_TermsView, doc="The terms as a read-only exponent tuple -> Fraction map.")
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, chart: Chart) -> "Polynomial":
-        return cls(chart, {})
-
-    @classmethod
     def constant(cls, chart: Chart, value: Scalar) -> "Polynomial":
-        zero_exp = (0,) * len(chart.variables)
-        return cls(chart, {zero_exp: _as_fraction(value)})
+        value = _as_fraction(value)
+        return _polynomial(chart, {0: value.numerator} if value else {}, value.denominator)
 
     @classmethod
     def variable(cls, chart: Chart, axis: int) -> "Polynomial":
-        exps = [0] * len(chart.variables)
-        exps[axis] = 1
-        return cls(chart, {tuple(exps): Fraction(1)})
+        return _polynomial(chart, {(1 << chart._shifts[axis]) + (1 << chart._degree_shift): 1})
 
     # -- ring operations -------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
         require_same_chart(self, other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(exps, None)
+        den = self._den
+        if den == other._den:
+            terms, scale = dict(self._terms), 1
+        else:
+            g = gcd(den, other._den)
+            terms = {k: c * (other._den // g) for k, c in self._terms.items()}
+            scale, den = den // g, den * (other._den // g)
+        for k, c in other._terms.items():
+            acc = terms.get(k, 0) + c * scale
+            if acc:
+                terms[k] = acc
             else:
-                terms[exps] = acc
-        return Polynomial(self.chart, terms)
+                del terms[k]
+        return _polynomial(self.chart, terms, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.chart, {e: -c for e, c in self.terms.items()})
+        return _polynomial(self.chart, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         require_same_chart(self, other)
+        a, b = self._terms, other._terms
+        if len(a) * len(b) > MAX_TERM_PAIRS:
+            raise ExpressionSizeError(f"a product of {len(a)} by {len(b)} terms exceeds the "
+                                      f"budget of {MAX_TERM_PAIRS} term pairs")
         terms = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(exps, Fraction(0)) + ca * cb
-                if acc == 0:
-                    terms.pop(exps, None)
-                else:
-                    terms[exps] = acc
-        return Polynomial(self.chart, terms)
+        get = terms.get
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                k = ka + kb
+                terms[k] = get(k, 0) + ca * cb
+        terms = {k: c for k, c in terms.items() if c}
+        if terms and (max(a) + max(b)) >> self.chart._degree_shift > MAX_EXPONENT:
+            e = max(max(self.chart._unpack(k)) for k in terms)
+            if e > MAX_EXPONENT:
+                raise ExponentLimitError(f"exponent {e} exceeds limit {MAX_EXPONENT}")
+        return _polynomial(self.chart, terms, self._den * other._den)
 
     def scale(self, value: Scalar) -> "Polynomial":
-        value = _as_fraction(value)
-        if value == 0:
-            return Polynomial.zero(self.chart)
-        return Polynomial(self.chart, {e: c * value for e, c in self.terms.items()})
+        num, den = _as_fraction(value).as_integer_ratio()
+        terms = {k: c * num for k, c in self._terms.items()} if num else {}
+        return _polynomial(self.chart, terms, self._den * den)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative exponent on a polynomial")
-        result = Polynomial.constant(self.chart, 1)
-        base = self
-        n = exponent
+        result, base, n = Polynomial.constant(self.chart, 1), self, exponent
         while n:
             if n & 1:
                 result = result * base
@@ -231,83 +288,76 @@ class Polynomial:
 
     # -- calculus and evaluation ------------------------------------------
     def derivative(self, axis: int) -> "Polynomial":
-        terms = {}
-        for exps, coeff in self.terms.items():
-            e = exps[axis]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[axis] = e - 1
-            terms[tuple(new)] = coeff * e
-        return Polynomial(self.chart, terms)
+        shift = self.chart._shifts[axis]
+        step = (1 << shift) + (1 << self.chart._degree_shift)
+        terms = {k - step: c * e for k, c in self._terms.items() if (e := k >> shift & _SLOT_MASK)}
+        return _polynomial(self.chart, terms, self._den)
 
     def evaluate(self, values: Sequence):
-        """Evaluate at a full variable vector (coordinates + constants)."""
-        if len(values) != len(self.chart.variables):
+        """Evaluate at a full variable vector (coordinates + constants).
+
+        The value is exact: with the used values written as a_i/B over a
+        common denominator B and D the total degree, it is the integer sum
+        of c·Π a_i^e_i·B^(D − deg) over _den·B^D, one Fraction, which is
+        rounded to a float once when any input is not an int or Fraction.
+        """
+        chart = self.chart
+        if len(values) != len(chart.variables):
             raise ValueError("value vector length does not match chart variables")
+        terms = self._terms
         exact = all(isinstance(v, (int, Fraction)) for v in values)
-        total = Fraction(0) if exact else 0.0
-        for exps, coeff in self.terms.items():
-            term = coeff if exact else float(coeff)
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v ** e
-            total = total + term
-        return total
+        used = reduce(or_, terms, 0)
+        point = [(s, v if exact else Fraction(v))
+                 for v, s in zip(values, chart._shifts) if used >> s & _SLOT_MASK]
+        common = lcm(1, *(v.denominator for _, v in point))
+        point = [(s, v.numerator * (common // v.denominator)) for s, v in point]
+        shift = chart._degree_shift
+        top = max(terms, default=0) >> shift
+        total = 0
+        for k, c in terms.items():
+            for s, a in point:
+                c *= a ** (k >> s & _SLOT_MASK)
+            total += c * common ** (top - (k >> shift))
+        value = Fraction(total, self._den * common ** top)
+        return value if exact else float(value)
 
     # -- structure ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     @property
     def is_constant(self) -> bool:
         """True for the zero polynomial and for a lone term of degree 0."""
-        return len(self.terms) <= 1 and not any(next(iter(self.terms), ()))
+        return len(self._terms) <= 1 and not any(self._terms)
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex largest term."""
-        exps = max(self.terms, key=lambda e: (sum(e), e))
-        return exps, self.terms[exps]
+        key = max(self._terms)
+        return self.chart._unpack(key), Fraction(self._terms[key], self._den)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Polynomial)
-            and self.chart == other.chart
-            and self.terms == other.terms
-        )
+        return (isinstance(other, Polynomial) and self._den == other._den
+                and self._terms == other._terms and self.chart == other.chart)
 
     def __str__(self):
-        return format_polynomial(self)
+        """Canonical text: terms in descending graded-lex order, exact coefficients."""
+        if self.is_zero:
+            return "0"
+        variables = self.chart.variables
+        pieces = []
+        for key in sorted(self._terms, reverse=True):
+            coeff = Fraction(self._terms[key], self._den)
+            factors = [name if e == 1 else f"{name}^{e}"
+                       for name, e in zip(variables, self.chart._unpack(key)) if e]
+            mag = abs(coeff)
+            body = "*".join(factors if factors and mag == 1 else [str(mag)] + factors)
+            sign = ("+ " if coeff > 0 else "- ") if pieces else ("" if coeff > 0 else "-")
+            pieces.append(sign + body)
+        return " ".join(pieces)
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def format_polynomial(poly: Polynomial) -> str:
-    """Canonical text: terms in descending graded-lex order, exact coefficients."""
-    if poly.is_zero:
-        return "0"
-    variables = poly.chart.variables
-    pieces = []
-    for exps in sorted(poly.terms, key=lambda e: (sum(e), e), reverse=True):
-        coeff = poly.terms[exps]
-        factors = []
-        for name, e in zip(variables, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mag = abs(coeff)
-        if factors and mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
 
 
 class RationalFunction:
@@ -323,18 +373,16 @@ class RationalFunction:
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
-            den = Polynomial.constant(num.chart, 1)
+            den = _polynomial(num.chart, {0: 1})
         require_same_chart(num, den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator polynomial")
         # normalize: constant denominators fold away, otherwise make monic
-        _, lead = den.leading_term()
-        if den.is_constant:
-            num = num.scale(1 / lead)
-            den = Polynomial.constant(num.chart, 1)
-        elif lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+        lead = den._terms[max(den._terms)]
+        if lead != den._den:
+            inverse = Fraction(den._den, lead)
+            num = num.scale(inverse)
+            den = _polynomial(num.chart, {0: 1}) if den.is_constant else den.scale(inverse)
         self.num = num
         self.den = den
 
@@ -370,9 +418,6 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -431,18 +476,14 @@ class RationalFunction:
         """
         chart = self.chart
         if len(point) != chart.dimension:
-            raise ValueError(
-                f"point has {len(point)} entries, chart has dimension {chart.dimension}"
-            )
+            raise ValueError(f"point has {len(point)} entries, "
+                             f"chart has dimension {chart.dimension}")
         values = list(point)
         for name in chart.constants:
-            axis = chart.axis(name)
-            used = any(
-                exps[axis] for exps in list(self.num.terms) + list(self.den.terms)
-            )
+            shift = chart._shifts[chart.axis(name)]
             if constants is not None and name in constants:
                 values.append(constants[name])
-            elif used:
+            elif any(k >> shift & _SLOT_MASK for k in chain(self.num._terms, self.den._terms)):
                 raise ValueError(f"no value supplied for constant {name!r}")
             else:
                 values.append(0)
@@ -450,10 +491,7 @@ class RationalFunction:
         den_val = self.den.evaluate(values)
         if den_val == 0:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
-        num_val = self.num.evaluate(values)
-        if isinstance(num_val, Fraction) and isinstance(den_val, Fraction):
-            return num_val / den_val
-        return float(num_val) / float(den_val)
+        return self.num.evaluate(values) / den_val
 
     # -- structure ---------------------------------------------------------------
     @property
@@ -467,9 +505,8 @@ class RationalFunction:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ValueError("not a constant rational function")
-        num = next(iter(self.num.terms.values()), Fraction(0))
-        den = next(iter(self.den.terms.values()))
-        return num / den
+        num = self.num._terms.get(0, 0) * self.den._den
+        return Fraction(num, self.num._den * self.den._terms[0])
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -478,10 +515,9 @@ class RationalFunction:
         return (self.num * other.den - other.num * self.den).is_zero
 
     def __str__(self):
-        num = format_polynomial(self.num)
         if self.den.is_constant:
-            return num
-        return f"({num})/({format_polynomial(self.den)})"
+            return str(self.num)
+        return f"({self.num})/({self.den})"
 
     def __repr__(self):
         return f"RationalFunction({self})"
@@ -502,21 +538,12 @@ class RationalFunction:
 # constants.  '^' exponents are literal non-negative integers.
 
 _TOKEN_OPS = set("+-*/^(),")
-
-
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind, text, pos):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
+_Token = namedtuple("_Token", "kind text pos")
 
 
 def tokenize_expression(text: str, line: int | None = None) -> list:
     tokens = []
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
         c = text[i]
         if c in " \t":
@@ -607,15 +634,12 @@ class _ExpressionParser:
         value = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
-            tok = self.peek()
+            tok = self.advance()
             if tok.kind != "int":
                 self.error("exponent must be a non-negative integer literal", tok)
-            self.advance()
             exponent = int(tok.text)
             if exponent > MAX_EXPONENT:
-                raise ExponentLimitError(
-                    f"exponent {exponent} exceeds limit {MAX_EXPONENT}"
-                )
+                raise ExponentLimitError(f"exponent {exponent} exceeds limit {MAX_EXPONENT}")
             value = value ** exponent
         return value
 
@@ -625,9 +649,8 @@ class _ExpressionParser:
             return RationalFunction.from_scalar(self.chart, int(tok.text))
         if tok.kind == "ident":
             if tok.text not in self.chart._index:
-                raise UnknownSymbolError(
-                    f"unknown identifier {tok.text!r}", line=self.line, column=tok.pos + 1
-                )
+                raise UnknownSymbolError(f"unknown identifier {tok.text!r}", line=self.line,
+                                         column=tok.pos + 1)
             return self.chart.coordinate(tok.text)
         if tok.kind == "op" and tok.text == "(":
             value = self.expression()
@@ -644,7 +667,13 @@ def parse_expression(text: str, chart: Chart, line: int | None = None) -> Ration
     Raises :class:`ParseError` (with position) on bad syntax,
     :class:`UnknownSymbolError` for undeclared identifiers, and
     ``ZeroDivisionError``-flavored :class:`ParseError` when dividing by
-    a syntactically zero polynomial.
+    a syntactically zero polynomial.  Too large an expansion raises :class:`ExponentLimitError`
+    or :class:`ExpressionSizeError`, naming ``line`` when it is given.
     """
     tokens = tokenize_expression(text, line=line)
-    return _ExpressionParser(tokens, chart, line=line).parse()
+    try:
+        return _ExpressionParser(tokens, chart, line=line).parse()
+    except (ExponentLimitError, ExpressionSizeError) as exc:
+        if line is None:
+            raise
+        raise type(exc)(f"{exc} at line {line}") from None

@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -42,8 +43,9 @@ DIRECTION_TRIES = 8
 def _polynomial_source(poly, chart: Chart, constant_values):
     dim = chart.dimension
     pieces = []
-    for exps in sorted(poly.terms):
-        coeff = poly.terms[exps]
+    for key in sorted(poly._terms, key=chart._unpack):  # lexicographic exponent order
+        exps = chart._unpack(key)
+        coeff = Fraction(poly._terms[key], poly._den)
         factors = []
         for axis, e in enumerate(exps):
             if e == 0:
@@ -58,7 +60,7 @@ def _polynomial_source(poly, chart: Chart, constant_values):
         try:  # folded exactly and rounded once, so no inf literal reaches the source
             term = repr(float(coeff))
         except OverflowError:
-            monomial = Polynomial(poly.chart, {exps: poly.terms[exps]})
+            monomial = Polynomial(chart, {exps: poly.terms[exps]})
             message = f"the coefficient of {monomial} is beyond the float range"
             raise CoefficientRangeError(message) from None
         if factors:
@@ -145,6 +147,12 @@ class FlowSystem:
             compile_scalar(hamiltonian, self.constant_values) if hamiltonian is not None else None
         )
         self._rhs = compile_field(field, self.constant_values)
+
+    @cached_property
+    def partials(self):
+        """The compiled partials ∂H/∂x_i of the Hamiltonian, built on first use."""
+        return [compile_scalar(self.hamiltonian.derivative(i), self.constant_values)
+                for i in range(self.chart.dimension)]
 
     def energy(self, state) -> float | None:
         if self._energy is None:
@@ -353,13 +361,16 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
     golden-section search on the dense output) to a distance ≤ eps is
     reported as the period, with time resolution eps/1000.  A refined
     minimum in (eps/10, eps] sets the ``ambiguous`` flag.  Quasi-periodic
-    or escaping orbits report ``periodic=False``.
+    or escaping orbits report ``periodic=False``, with ``min_distance``
+    the closest refined minimum after leaving the eps-ball (None if the
+    distance has no such minimum).
     """
     if eps <= 0 or t_max <= 0:
         raise ValueError("eps and t_max must be positive")
     x0 = np.asarray(x0, dtype=float)
     max_drift = 0.0 if system.energy(x0) is not None else None
     left_ball = False
+    closest = math.inf
     chunk = INITIAL_CHUNK
     start = 0.0
     state = x0
@@ -388,6 +399,7 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
             if d_best <= eps:
                 return PeriodDetection(True, float(t_best), float(d_best), d_best > eps / 10.0,
                                        None, max_drift)
+            closest = min(closest, d_best)
         if stop >= t_max:
             break
         # restart slightly before the chunk end so boundary minima fall in the
@@ -395,7 +407,8 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
         start = stop - 2.0 * SAMPLE_SPACING
         state = trajectory.state_at(start)
     reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
-    return PeriodDetection(False, None, None, False, reason, max_drift)
+    min_distance = closest if math.isfinite(closest) else None
+    return PeriodDetection(False, None, min_distance, False, reason, max_drift)
 
 
 @dataclass
@@ -459,10 +472,7 @@ def find_energy_point(system: FlowSystem, energy: float, rng):
         raise RootFindError("system has no Hamiltonian to match energies against")
     ham = system._energy
     dim = system.chart.dimension
-    partials = [
-        compile_scalar(system.hamiltonian.derivative(i), system.constant_values)
-        for i in range(dim)
-    ]
+    partials = system.partials
     for _ in range(DIRECTION_TRIES):
         direction = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
         norm = float(np.linalg.norm(direction))

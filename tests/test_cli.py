@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -265,6 +266,23 @@ def test_constant_beyond_the_float_range_exits_2(tmp_path, capsys):
     code, err = run_text(tmp_path, capsys, "period", text)
     assert code == 2
     assert err == "analysis error: the coefficient of q^2*omega^2 is beyond the float range\n"
+
+
+@pytest.mark.parametrize(
+    "chart,expression,message",
+    [("q, p", "q^70000", "exponent 70000 exceeds limit 65536"),
+     ("q, p", "q^65536*q^65536", "exponent 131072 exceeds limit 65536"),
+     ("a, b, c, d", "(a+b+c+d+1)^60",
+      "a product of 1820 by 4845 terms exceeds the budget of 1000000 term pairs")],
+    ids=["power", "product", "size-budget"],
+)
+def test_too_large_expression_exits_2_within_a_second(tmp_path, capsys, chart, expression,
+                                                      message):
+    start = time.perf_counter()
+    code, err = run_text(tmp_path, capsys, "verify", f"chart {chart}\nscalar H = {expression}\n")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err == f"analysis error: {message} at line 2\n"
 
 
 def test_period_scan_survives_a_seed_that_hits_a_pole(tmp_path):

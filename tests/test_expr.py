@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from geoham.errors import ExponentLimitError, ParseError, PoleError, UnknownSymbolError
-from geoham.expr import Chart, Polynomial, RationalFunction, parse_expression
+from geoham.expr import MAX_EXPONENT, Chart, Polynomial, RationalFunction, parse_expression
 
 
 CHART_QP = Chart(["q1", "p1"])
@@ -295,3 +297,138 @@ def test_chart_validation():
     chart = Chart(["a", "b"], constants=["c"])
     assert chart.dimension == 2
     assert chart.variables == ("a", "b", "c")
+
+
+# -- sympy as the oracle ---------------------------------------------------------
+
+ORACLE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def charts(draw):
+    """Up to six variables: one to four coordinates, then up to two constants."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, min(2, 6 - n)))
+    return Chart([f"x{i}" for i in range(n)], constants=[f"c{i}" for i in range(m)])
+
+
+def polynomials(chart, max_terms=5, max_exponent=3):
+    exponents = st.tuples(*[st.integers(0, max_exponent) for _ in chart.variables])
+    return st.dictionaries(exponents, coefficients, max_size=max_terms).map(
+        lambda terms: Polynomial(chart, terms)
+    )
+
+
+def quotients(chart):
+    nonzero = polynomials(chart, max_terms=3, max_exponent=2).filter(lambda p: not p.is_zero)
+    return st.builds(RationalFunction, polynomials(chart), nonzero)
+
+
+def rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def to_sympy(poly):
+    symbols = sympy.symbols(poly.chart.variables)
+    return sympy.Add(*[rational(c) * sympy.Mul(*[s ** e for s, e in zip(symbols, exps)])
+                       for exps, c in poly.terms.items()])
+
+
+def oracle_terms(expr, chart):
+    """The exponent tuple -> Fraction dict of a sympy polynomial expression."""
+    poly = sympy.Poly(sympy.expand(expr), *sympy.symbols(chart.variables))
+    return {m: Fraction(int(c.p), int(c.q)) for m, c in poly.as_dict().items() if c}
+
+
+def same_quotient(value, num, den):
+    """value == num/den, decided by cross-multiplication in sympy."""
+    return sympy.expand(to_sympy(value.num) * den - to_sympy(value.den) * num) == 0
+
+
+@ORACLE
+@given(st.data())
+def test_ring_operations_match_sympy(data):
+    chart = data.draw(charts())
+    a = data.draw(polynomials(chart))
+    b = data.draw(polynomials(chart))
+    scale = data.draw(coefficients)
+    power = data.draw(st.integers(0, 4))
+    axis = data.draw(st.integers(0, len(chart.variables) - 1))
+    sa, sb = to_sympy(a), to_sympy(b)
+    variable = sympy.Symbol(chart.variables[axis])
+    for value, expected in [
+        (a + b, sa + sb),
+        (a - b, sa - sb),
+        (a * b, sa * sb),
+        (a ** power, sa ** power),
+        (a.scale(scale), rational(scale) * sa),
+        (a.derivative(axis), sympy.diff(sa, variable)),
+    ]:
+        assert value.terms == oracle_terms(expected, chart)
+        # canonical form: equal to the polynomial built afresh from its terms
+        assert value == Polynomial(chart, dict(value.terms))
+
+
+@ORACLE
+@given(st.data())
+def test_evaluate_and_leading_term_match_sympy(data):
+    chart = data.draw(charts())
+    a = data.draw(polynomials(chart, max_exponent=5))
+    point = data.draw(st.lists(coefficients, min_size=len(chart.variables),
+                               max_size=len(chart.variables)))
+    symbols = sympy.symbols(chart.variables)
+    expected = to_sympy(a).subs(dict(zip(symbols, map(rational, point))))
+    value = a.evaluate(point)
+    assert isinstance(value, Fraction) and value == Fraction(int(expected.p), int(expected.q))
+    assume(not a.is_zero)
+    monomial, coeff = sympy.Poly(to_sympy(a), *symbols).terms(order="grlex")[0]
+    assert a.leading_term() == (monomial, Fraction(int(coeff.p), int(coeff.q)))
+
+
+@ORACLE
+@given(st.data())
+def test_quotients_match_sympy_and_reparse(data):
+    chart = data.draw(charts())
+    f = data.draw(quotients(chart))
+    g = data.draw(quotients(chart))
+    nf, df, ng, dg = (to_sympy(p) for p in (f.num, f.den, g.num, g.den))
+    assert same_quotient(f + g, nf * dg + ng * df, df * dg)
+    assert same_quotient(f - g, nf * dg - ng * df, df * dg)
+    assert same_quotient(f * g, nf * ng, df * dg)
+    if not g.is_zero:
+        assert same_quotient(f / g, nf * dg, df * ng)
+    x0 = sympy.Symbol("x0")
+    assert same_quotient(f.derivative("x0"), sympy.diff(nf, x0) * df - nf * sympy.diff(df, x0),
+                         df ** 2)
+    assert parse_expression(str(f), chart) == f
+    point = data.draw(st.lists(coefficients, min_size=chart.dimension, max_size=chart.dimension))
+    constants = dict(zip(chart.constants, data.draw(
+        st.lists(coefficients, min_size=len(chart.constants), max_size=len(chart.constants)))))
+    values = dict(zip(sympy.symbols(chart.variables),
+                      [rational(x) for x in point] + [rational(constants[c]) for c in chart.constants]))
+    den = df.subs(values)
+    if den == 0:
+        with pytest.raises(PoleError):
+            f.evaluate(point, constants)
+    else:
+        expected = nf.subs(values) / den
+        assert f.evaluate(point, constants) == Fraction(int(expected.p), int(expected.q))
+
+
+@ORACLE
+@given(st.integers(0, MAX_EXPONENT), st.integers(0, 2))
+def test_exponent_limit_at_two_to_the_sixteen(split, other):
+    chart = Chart(["x0", "x1", "x2"])
+    x0, x1 = chart.coordinate("x0").num, chart.coordinate("x1").num
+    top = x0 ** split * x0 ** (MAX_EXPONENT - split) * x1 ** other
+    assert top.terms == {(MAX_EXPONENT, other, 0): Fraction(1)}
+    assert parse_expression(str(top), chart).num == top
+    assert top.derivative(0).terms == {(MAX_EXPONENT - 1, other, 0): Fraction(MAX_EXPONENT)}
+    with pytest.raises(ExponentLimitError):
+        x0 ** split * x0 ** (MAX_EXPONENT + 1 - split)
+    with pytest.raises(ExponentLimitError):
+        Polynomial(chart, {(MAX_EXPONENT + 1, other, 0): Fraction(1)})
+    with pytest.raises(ExponentLimitError):
+        parse_expression(f"x1^{other}*x0^{MAX_EXPONENT + 1}", chart)

@@ -225,6 +225,16 @@ def test_detect_period_quasi_periodic_torus_not_periodic():
     assert not detection.periodic
 
 
+def test_unconverged_orbit_reports_its_closest_approach():
+    # oracle: |x(t) - x0|^2 = 4 - 2cos(t) - 2cos(sqrt(2) t) on a fine grid past the first turn
+    detection = detect_period(torus_system(), [1.0, 1.0, 0.0, 0.0], t_max=60.0)
+    assert detection.reason == "no return within t_max"
+    t = np.linspace(1.0, 60.0, 2_000_001)
+    closest = float(np.sqrt(np.min(4.0 - 2.0 * np.cos(t) - 2.0 * np.cos(math.sqrt(2.0) * t))))
+    assert detection.min_distance > 1e-6
+    assert abs(detection.min_distance - closest) < 1e-6
+
+
 def test_detect_period_fixed_point_never_leaves():
     system = harmonic_system()
     detection = detect_period(system, [0.0, 0.0], t_max=5.0)
