@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -41,6 +42,16 @@ OBSTRUCTION_REL_TOL = 1e-4
 COMPLETENESS_ASSUMPTION = "completeness of normal-form fields assumed, not verified"
 
 
+def _positive_finite(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _build_argument_parser():
     parser = argparse.ArgumentParser(
         prog="geoham",
@@ -52,10 +63,14 @@ def _build_argument_parser():
     )
     parser.add_argument("file", help="system-definition file")
     parser.add_argument("--seed", type=int, default=42, help="seed for all randomness")
-    parser.add_argument("--rtol", type=float, default=1e-10, help="integration relative tolerance")
-    parser.add_argument("--atol", type=float, default=1e-12, help="integration absolute tolerance")
-    parser.add_argument("--eps", type=float, default=1e-6, help="period-detection return ball")
-    parser.add_argument("--tmax", type=float, default=1e3, help="period-detection time horizon")
+    parser.add_argument("--rtol", type=_positive_finite,
+                        default=1e-10, help="integration relative tolerance")
+    parser.add_argument("--atol", type=_positive_finite,
+                        default=1e-12, help="integration absolute tolerance")
+    parser.add_argument("--eps", type=_positive_finite,
+                        default=1e-6, help="period-detection return ball")
+    parser.add_argument("--tmax", type=_positive_finite,
+                        default=1e3, help="period-detection time horizon")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument("--csv-dir", help="directory for CSV side files (period tables)")
     parser.add_argument("--compare", help="second system file for the period obstruction test")

@@ -2,8 +2,8 @@
 dependence and obstruction tests.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with its
-continuous extension for dense output, stepped on plain float lists.
-Period detection works with the full
+continuous extension for dense output, one step generated per state
+dimension on scalar locals.  Period detection works with the full
 phase-space return to the seed point, so quasi-periodic orbits report
 no period instead of aliasing; the first re-entry into an eps-ball is
 refined by golden-section minimization of the distance along the dense
@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 import random
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
@@ -182,24 +184,42 @@ def _rms(values):
     return math.hypot(*values) / math.sqrt(len(values))
 
 
-def _dopri_step(rhs, t, y, k1, h, rtol, atol):
-    """One step of size h from (t, y) with k1 = f(t, y): the new state, the
-    seven stages, and the RMS of the 5th-minus-4th-order error scaled by the tolerances."""
-    k2 = rhs(t + 1/5 * h, [v + (1/5 * a) * h for v, a in zip(y, k1)])
-    k3 = rhs(t + 3/10 * h, [v + (3/40 * a + 9/40 * b) * h for v, a, b in zip(y, k1, k2)])
-    k4 = rhs(t + 4/5 * h, [v + (44/45 * a - 56/15 * b + 32/9 * c) * h
-                           for v, a, b, c in zip(y, k1, k2, k3)])
-    k5 = rhs(t + 8/9 * h, [v + (19372/6561 * a - 25360/2187 * b + 64448/6561 * c - 212/729 * d) * h
-                           for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + h, [v + (9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d
-                          - 5103/18656 * e) * h for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [v + (35/384 * a + 500/1113 * c + 125/192 * d - 2187/6784 * e + 11/84 * f) * h
-             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(t + h, y_new)
-    err = _rms([(-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e - 22/525 * f
-                 + 1/40 * g) * h / (atol + max(abs(v), abs(w)) * rtol)
-                for a, c, d, e, f, g, v, w in zip(k1, k3, k4, k5, k6, k7, y, y_new)])
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+# One component's tableau over its stages a..g = k1..k7: (time offset, increment) of
+# k2..k6, then the 5th-order solution and the 5th-minus-4th-order error.
+_STAGE_ROWS = (("1/5 * h", "1/5 * a"), ("3/10 * h", "3/40 * a + 9/40 * b"),
+               ("4/5 * h", "44/45 * a - 56/15 * b + 32/9 * c"),
+               ("8/9 * h", "19372/6561 * a - 25360/2187 * b + 64448/6561 * c - 212/729 * d"),
+               ("h", "9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d - 5103/18656 * e"))
+_SOLUTION_ROW = "35/384 * a + 500/1113 * c + 125/192 * d - 2187/6784 * e + 11/84 * f"
+_ERROR_ROW = "-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e - 22/525 * f + 1/40 * g"
+
+
+def _step_source(d):
+    def each(text, sep=", "):  # text once per component i, its one-letter names suffixed by i
+        return sep.join(re.sub(r"\b([a-gny])\b", rf"\g<1>{i}", text) for i in range(d))
+
+    # (u if u > v else v) is max(v, u) without the call: the same float, NaN included
+    scaled = f"({_ERROR_ROW}) * h / (atol + (u if (u := abs(n)) > (v := abs(y)) else v) * rtol)"
+    lines = [f"[{each('y')}] = y", f"[{each('a')}] = k1"]
+    for k, (offset, increment) in enumerate(_STAGE_ROWS, start=2):
+        lines += [f"k{k} = rhs(t + {offset}, [{each(f'y + ({increment}) * h')}])",
+                  f"[{each('abcdef'[k - 1])}] = k{k}"]
+    lines += [each(f"n = y + ({_SOLUTION_ROW}) * h", "; "), f"y_new = [{each('n')}]",
+              "k7 = rhs(t + h, y_new)", f"[{each('g')}] = k7",
+              f"err = hypot({each(scaled)}) / {math.sqrt(d)!r}",
+              "return y_new, (k1, k2, k3, k4, k5, k6, k7), err"]
+    return "def _step(rhs, t, y, k1, h, rtol, atol):\n    " + "\n    ".join(lines) + "\n"
+
+
+@cache
+def _step_for(d):
+    """The DOPRI 5(4) step(rhs, t, y, k1, h, rtol, atol) -> (y_new, stages, err) on
+    R^d, generated on first use.  Scalar locals keep the tableau's coefficients
+    and association, and err is hypot over sqrt(d) as in _rms: every float is the
+    one a step over lists of components gives."""
+    namespace = {"hypot": math.hypot}
+    exec(_step_source(d), namespace)
+    return namespace["_step"]
 
 
 def _initial_step(rhs, t, y, f, span, rtol, atol):
@@ -233,18 +253,22 @@ def _dopri(rhs, t, t_end, y, rtol, atol):
     except (ZeroDivisionError, OverflowError):
         raise IntegrationError(f"the field is singular at the initial state {y}") from None
     h_abs = _initial_step(rhs, t, y, f, t_end - t, rtol, atol)
+    step = _step_for(len(y))
     ts, states, stages = [t], [], []
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
-        h_abs = max(h_abs, min_step)
+        if h_abs < min_step:  # max(h_abs, min_step) and min(t + h_abs, t_end), without the calls
+            h_abs = min_step
         rejected = False
         while True:
             if h_abs < min_step:
                 raise IntegrationError(f"step size fell below the float spacing at t = {t!r}")
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
             h = t_new - t
             try:
-                y_new, k, err = _dopri_step(rhs, t, y, f, h, rtol, atol)
+                y_new, k, err = step(rhs, t, y, f, h, rtol, atol)
             except (ZeroDivisionError, OverflowError):
                 err = math.inf
             if err < 1.0:
@@ -269,6 +293,7 @@ class DenseSolution:
     """
 
     def __init__(self, ts, states, stages):
+        self.times = ts
         self.ts = np.array(ts)
         self.h = np.diff(self.ts)
         self.y_old = np.array(states)
@@ -278,6 +303,12 @@ class DenseSolution:
 
     def __call__(self, t):
         """The state (dim,) at a scalar t, or the states (dim, m) at m times."""
+        if isinstance(t, float):  # the same arithmetic on one row, found by bisection
+            i = min(max(bisect_left(self.times, t) - 1, 0), len(self.h) - 1)
+            h = self.h[i]
+            x = (t - self.times[i]) / h
+            Q = self.Q[i]
+            return self.y_old[i] + h * ((((Q[:, 3] * x + Q[:, 2]) * x + Q[:, 1]) * x + Q[:, 0]) * x)
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.h) - 1)
         h = self.h[i]
@@ -307,10 +338,10 @@ def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: f
     energy drift |H(x(t)) − H(x0)| over a grid of max(64, 4·steps)
     samples.
     """
-    if t_end <= t_start:
-        raise ValueError("t_end must exceed t_start")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
+        raise ValueError("t_end must be finite and exceed a finite t_start")
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("tolerances must be positive and finite")
     x0 = [float(v) for v in x0]
     ts, states, stages = _dopri(system.rhs, float(t_start), float(t_end), x0, rtol, atol)
     solution = DenseSolution(ts, states, stages)
@@ -365,8 +396,8 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
     the closest refined minimum after leaving the eps-ball (None if the
     distance has no such minimum).
     """
-    if eps <= 0 or t_max <= 0:
-        raise ValueError("eps and t_max must be positive")
+    if not (0 < eps < math.inf and 0 < t_max < math.inf):
+        raise ValueError("eps and t_max must be positive and finite")
     x0 = np.asarray(x0, dtype=float)
     max_drift = 0.0 if system.energy(x0) is not None else None
     left_ball = False
@@ -619,9 +650,8 @@ class ObstructionResult:
         return {"obstructed": self.obstructed, "reason": self.reason}
 
 
-def equivalence_obstruction(
-    a: PeriodTable, b: PeriodTable, rel_tol: float = 1e-4
-) -> ObstructionResult:
+def equivalence_obstruction(a: PeriodTable, b: PeriodTable,
+                            rel_tol: float = 1e-4) -> ObstructionResult:
     """Compare observed period sets of two systems.
 
     Obstructed when one system's periods are constant (within rel_tol)
@@ -640,9 +670,7 @@ def equivalence_obstruction(
     constant_a = _relative_spread(periods_a) <= rel_tol
     constant_b = _relative_spread(periods_b) <= rel_tol
     if constant_a != constant_b:
-        return ObstructionResult(
-            obstructed=True, reason="constant vs energy-dependent period"
-        )
+        return ObstructionResult(obstructed=True, reason="constant vs energy-dependent period")
     pad_a = rel_tol * max(abs(max(periods_a)), abs(min(periods_a)))
     pad_b = rel_tol * max(abs(max(periods_b)), abs(min(periods_b)))
     if max(periods_a) + pad_a < min(periods_b) - pad_b or max(periods_b) + pad_b < min(

@@ -317,6 +317,23 @@ def test_period_run_leaves_scipy_integrate_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize(
+    "option,value",
+    [("--rtol", "nan"), ("--atol", "inf"), ("--tmax", "inf"), ("--rtol", "0"), ("--eps", "0"),
+     ("--tmax", "-1"), ("--eps", "nan"), ("--atol", "-inf")],
+)
+def test_period_option_that_is_not_positive_and_finite_is_a_usage_error(tmp_path, option, value):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoham.__file__)))
+    path = tmp_path / "one.sys"
+    path.write_text("chart q, p\nscalar H = p^2/2 + q^2/2\nperiod s : H energies=[1] seeds=1\n")
+    argv = [sys.executable, "-m", "geoham.cli", "period", str(path), f"{option}={value}"]
+    result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                            text=True, timeout=5)
+    assert result.returncode == 2
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert f"argument {option}: " in result.stderr
+
+
 def test_missing_file_exit_code():
     code, _ = run_cli("verify", "/nonexistent/path.sys")
     assert code == 1

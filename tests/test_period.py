@@ -3,13 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoham import catalog
 from geoham import period
 from geoham.errors import IntegrationError, RootFindError
-from geoham.expr import Chart, parse_expression
+from geoham.expr import Chart, Polynomial, RationalFunction, parse_expression
 from geoham.geom import VectorField
 from geoham.period import (
+    DenseSolution,
     FlowSystem,
     PeriodRecord,
     PeriodTable,
@@ -98,6 +100,17 @@ def test_integrate_harmonic_closes_after_full_turn():
     assert trajectory.max_energy_drift < 1e-10
 
 
+def test_dense_solution_at_a_float_time_matches_the_array_path():
+    trajectory = integrate(quartic_system(), [1.0, 0.0], 20.0)
+    solution = trajectory.solution
+    assert isinstance(solution, DenseSolution)
+    rng = random.Random(7)
+    times = solution.times + [np.float64(3.3), -0.5, 20.5]
+    times += [rng.uniform(0.0, 20.0) for _ in range(500)]
+    for t in times:
+        assert solution(t).tolist() == solution(np.array(t)).tolist()
+
+
 def test_integrate_quartic_energy_drift_and_tolerance_agreement():
     system = quartic_system()
     trajectory = integrate(system, [1.0, 0.0], 10.0, rtol=1e-10)
@@ -122,6 +135,21 @@ def test_integrate_validates_arguments():
         integrate(system, [1.0, 0.0], 1.0, rtol=-1.0)
 
 
+@pytest.mark.parametrize("keyword", ["rtol", "atol", "t_end"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_integrate_rejects_nan_and_inf(keyword, value):
+    arguments = {"t_end": 1.0, keyword: value}
+    with pytest.raises(ValueError):
+        integrate(harmonic_system(), [1.0, 0.0], **arguments)
+
+
+@pytest.mark.parametrize("keyword", ["eps", "t_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_detect_period_rejects_bad_eps_and_t_max(keyword, value):
+    with pytest.raises(ValueError):
+        detect_period(harmonic_system(), [1.0, 0.0], **{keyword: value})
+
+
 def test_integrate_through_a_pole_raises_integration_error():
     chart = Chart(["q", "p"])
     field = VectorField(chart, [chart.one(), parse_expression("1/q", chart)])
@@ -137,6 +165,53 @@ def test_a_stage_that_raises_rejects_the_step_until_the_step_collapses():
 
     with pytest.raises(IntegrationError, match="t = 0.49999"):
         period._dopri(rhs, 0.0, 1.0, [0.0, 0.0], 1e-10, 1e-12)
+
+
+def reference_dopri_step(rhs, t, y, k1, h, rtol, atol):
+    """The DOPRI 5(4) step over lists of components, as the tableau reads."""
+    k2 = rhs(t + 1/5 * h, [v + (1/5 * a) * h for v, a in zip(y, k1)])
+    k3 = rhs(t + 3/10 * h, [v + (3/40 * a + 9/40 * b) * h for v, a, b in zip(y, k1, k2)])
+    k4 = rhs(t + 4/5 * h, [v + (44/45 * a - 56/15 * b + 32/9 * c) * h
+                           for v, a, b, c in zip(y, k1, k2, k3)])
+    k5 = rhs(t + 8/9 * h, [v + (19372/6561 * a - 25360/2187 * b + 64448/6561 * c - 212/729 * d) * h
+                           for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    k6 = rhs(t + h, [v + (9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d
+                          - 5103/18656 * e) * h for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+    y_new = [v + (35/384 * a + 500/1113 * c + 125/192 * d - 2187/6784 * e + 11/84 * f) * h
+             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(t + h, y_new)
+    err = period._rms([(-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e
+                        - 22/525 * f + 1/40 * g) * h / (atol + max(abs(v), abs(w)) * rtol)
+                       for a, c, d, e, f, g, v, w in zip(k1, k3, k4, k5, k6, k7, y, y_new)])
+    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+
+
+@st.composite
+def step_inputs(draw):
+    """A polynomial field on R^d (d = 1..8, degree <= 3) and one step's arguments."""
+    d = draw(st.integers(1, 8))
+    chart = Chart([f"x{i}" for i in range(d)])
+    coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    exponents = st.lists(st.integers(0, d - 1), max_size=3).map(  # a monomial of degree <= 3
+        lambda axes: tuple(axes.count(i) for i in range(d)))
+    components = draw(st.lists(st.dictionaries(exponents, coefficient, max_size=4),
+                               min_size=d, max_size=d))
+    field = VectorField(chart, [RationalFunction(Polynomial(chart, terms)) for terms in components])
+    number = st.floats(-2.0, 2.0)
+    vector = st.lists(number, min_size=d, max_size=d)
+    return (period.compile_field(field), draw(number), draw(vector), draw(vector),
+            draw(st.floats(1e-6, 0.5)), draw(st.floats(1e-12, 1e-3)), draw(st.floats(1e-14, 1e-3)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(step_inputs())
+def test_generated_step_is_bit_identical_to_the_list_step(arguments):
+    rhs, t, y, k1, h, rtol, atol = arguments
+    y_new, stages, err = period._step_for(len(y))(rhs, t, y, k1, h, rtol, atol)
+    expected_y, expected_stages, expected_err = reference_dopri_step(rhs, t, y, k1, h, rtol, atol)
+    assert y_new == expected_y
+    assert stages == expected_stages
+    assert err == expected_err
 
 
 def test_constant_hamiltonian_reports_zero_drift():
