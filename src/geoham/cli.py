@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -52,6 +53,7 @@ def _positive_finite(text):
     return value
 
 
+@functools.cache  # built on first use, once per process
 def _build_argument_parser():
     parser = argparse.ArgumentParser(
         prog="geoham",

@@ -3,9 +3,9 @@
 
 Coefficients are exact rational functions, so every identity here
 (d² = 0, Cartan's formula, bracket relations, Hamiltonian-description
-residuals) is decided exactly, not numerically.  Nondegeneracy of a
-2-form is decided by the symbolic determinant of its coefficient
-matrix; its zero locus is only probed at sample points.
+residuals) is decided exactly, not numerically.  A nonzero determinant of a 2-form's
+coefficient matrix at one seeded sample point proves it nondegenerate; only when
+every sample vanishes is the determinant expanded symbolically.
 """
 
 from __future__ import annotations
@@ -13,11 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import combinations
+from operator import mul
 from typing import Sequence
 
 from . import _linalg
 from .errors import ChartMismatchError, DimensionError, PoleError
-from .expr import Chart, RationalFunction, require_same_chart
+from .expr import Chart, Polynomial, RationalFunction, require_same_chart
 
 #: Sample points per pointwise probe, drawn from the grid (1/8)Z in
 #: [-SAMPLE_BOUND, SAMPLE_BOUND] on every coordinate.
@@ -457,7 +460,7 @@ def tensor_insertion(T: Tensor11, a: DifferentialForm) -> DifferentialForm:
     if a.degree == 0:
         return DifferentialForm.zero(chart, 0)
     coeffs = {}
-    for idx in _increasing_tuples(chart.dimension, a.degree):
+    for idx in combinations(range(chart.dimension), a.degree):
         total = chart.zero()
         for s in range(a.degree):
             for m in range(chart.dimension):
@@ -484,23 +487,6 @@ def twisted_two_form(T: Tensor11, F: RationalFunction) -> DifferentialForm:
     return exterior_derivative(twisted_differential(T, F))
 
 
-def _increasing_tuples(n, k):
-    if k == 0:
-        yield ()
-        return
-    idx = list(range(k))
-    while True:
-        yield tuple(idx)
-        for pos in reversed(range(k)):
-            if idx[pos] != pos + n - k:
-                break
-        else:
-            return
-        idx[pos] += 1
-        for j in range(pos + 1, k):
-            idx[j] = idx[j - 1] + 1
-
-
 # ---------------------------------------------------------------------------
 # Determinants and sampling helpers
 # ---------------------------------------------------------------------------
@@ -514,48 +500,51 @@ def two_form_matrix(a: DifferentialForm):
 
 
 def symbolic_determinant(rows) -> RationalFunction:
-    """Exact determinant of a matrix of rational functions.
+    """Exact determinant det(P) / Π m_i of a matrix of rational functions.
 
-    Laplace expansion memoized over column subsets; intended for the
-    small (dim ≤ 8) matrices that appear here.
+    Row i times m_i, the product of its distinct non-constant denominators,
+    is row i of the polynomial matrix P; det(P) is a Laplace expansion
+    memoized over column subsets, for the small (dim ≤ 8) matrices here.
     """
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
     chart = rows[0][0].chart
-    cache = {}
+    one, zero = Polynomial.constant(chart, 1), Polynomial.constant(chart, 0)
+    P, denominator = [], one
+    for row in rows:
+        dens = []
+        for entry in row:
+            if not entry.den.is_constant and entry.den not in dens:
+                dens.append(entry.den)
+        P.append([reduce(mul, (d for d in dens if d != e.den), e.num) for e in row])
+        denominator = reduce(mul, dens, denominator)
 
-    def minor(row, mask):
+    @cache
+    def minor(mask):  # det of the rows from popcount(mask) on and the columns not in mask
+        row = mask.bit_count()
         if row == n:
-            return chart.one()
-        key = mask
-        if key in cache:
-            return cache[key]
-        total = chart.zero()
-        sign = 1
+            return one
+        total, sign = zero, 1
         for col in range(n):
             bit = 1 << col
             if mask & bit:
                 continue
-            entry = rows[row][col]
+            entry = P[row][col]
             if not entry.is_zero:
-                total = total + (entry * minor(row + 1, mask | bit) if sign > 0
-                                 else -(entry * minor(row + 1, mask | bit)))
+                term = entry * minor(mask | bit)
+                total = total + term if sign > 0 else total - term
             sign = -sign
-        cache[key] = total
         return total
 
-    return minor(0, 0)
+    return RationalFunction(minor(0), denominator)
 
 
 def sample_points(chart: Chart, probes, seed=42, constants=None):
-    """SAMPLE_COUNT seeded rational sample points avoiding poles.
-
-    ``probes`` are rational functions that must all evaluate cleanly at
-    every returned point.
-    """
+    """(points, values): SAMPLE_COUNT seeded rational points where no probe
+    has a pole, and values[k][i] = probes[i] at points[k], for reuse."""
     rng = random.Random(seed)
-    points = []
+    points, values = [], []
     attempts = 0
     while len(points) < SAMPLE_COUNT:
         attempts += 1
@@ -564,12 +553,39 @@ def sample_points(chart: Chart, probes, seed=42, constants=None):
         point = [Fraction(rng.randint(-8 * SAMPLE_BOUND, 8 * SAMPLE_BOUND), 8)
                  for _ in range(chart.dimension)]
         try:
-            for probe in probes:
-                probe.evaluate(point, constants)
+            row = [probe.evaluate(point, constants) for probe in probes]
         except PoleError:
             continue
         points.append(point)
-    return points
+        values.append(row)
+    return points, values
+
+
+def _nondegenerate(form: DifferentialForm, seed) -> tuple:
+    """(det W ≢ 0, the sample points where det W = 0) for a 2-form's matrix W.
+
+    One nonzero det W(p), from the sampler's values, proves det W ≢ 0
+    (Schwartz 1980, Zippel 1979, used one-sidedly); only when every
+    sample vanishes does ``symbolic_determinant`` decide.  A coefficient
+    using a declared constant has no value to sample with: then the exact
+    determinant decides alone and no point is reported.
+    """
+    n = form.chart.dimension
+    keys = list(form.coeffs)
+    try:
+        points, values = sample_points(form.chart, [form.coeffs[k] for k in keys], seed=seed)
+    except ValueError:
+        points, values = [], []
+    degenerate = []
+    for point, row in zip(points, values):
+        W = [[0] * n for _ in range(n)]
+        for (i, j), value in zip(keys, row):
+            W[i][j], W[j][i] = value, -value
+        if _linalg.det(W) == 0:
+            degenerate.append(point)
+    if len(degenerate) == len(points) and symbolic_determinant(two_form_matrix(form)).is_zero:
+        return False, []
+    return True, degenerate
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +623,9 @@ def is_hamiltonian_description(
     """Check whether (ω, H) is a Hamiltonian description of the field.
 
     ``holds`` requires the contraction identity i_Γω = dH *and* dω = 0,
-    both exactly.  Nondegeneracy is the symbolic determinant of the
-    coefficient matrix being non-zero as a rational function; points of
-    the degeneracy locus are only reported via sampling.
+    both exactly.  Nondegeneracy, det W ≢ 0, is proved by one sample point
+    with det W ≠ 0, or else decided symbolically (see ``_nondegenerate``);
+    ``degenerate_samples`` lists the samples where det W = 0 (none if ≡ 0).
     """
     require_same_chart(gamma, omega)
     if omega.degree != 2:
@@ -619,17 +635,7 @@ def is_hamiltonian_description(
     residual = interior_product(gamma, omega) - differential(hamiltonian)
     matches = residual.is_zero
     closed = exterior_derivative(omega).is_zero
-    detw = symbolic_determinant(two_form_matrix(omega))
-    nondegenerate = not detw.is_zero
-    degenerate_samples = []
-    if nondegenerate:
-        points = sample_points(omega.chart, list(omega.coeffs.values()), seed=sample_seed)
-        for point in points:
-            try:
-                if detw.evaluate(point) == 0:
-                    degenerate_samples.append(point)
-            except PoleError:
-                continue
+    nondegenerate, degenerate_samples = _nondegenerate(omega, sample_seed)
     return HamiltonianDescriptionReport(
         holds=matches and closed,
         closed=closed,
@@ -719,25 +725,21 @@ def check_normal_form(
     integrals_independent = not independence_form.is_zero
 
     probes = list(integrals) + [c for X in fields for c in X.components] + list(gamma.components)
-    points = sample_points(chart, probes, seed=sample_seed, constants=constants)
+    points, values = sample_points(chart, probes, seed=sample_seed, constants=constants)
+    field_values = [[row[n + k * chart.dimension:n + (k + 1) * chart.dimension]
+                     for k in range(n)] for row in values]  # per point: one row per field
 
-    def jacobian_rank(point):
-        rows = []
-        for f in integrals:
-            rows.append([f.derivative(j).evaluate(point, constants) for j in range(chart.dimension)])
-        return _linalg.rank(rows)
-
-    integral_rank_full = all(jacobian_rank(pt) == n for pt in points)
+    gradients = [[f.derivative(j) for j in range(chart.dimension)] for f in integrals]
+    integral_rank_full = all(
+        _linalg.rank([[g.evaluate(pt, constants) for g in row] for row in gradients]) == n
+        for pt in points
+    )
 
     # (ii) commuting, pointwise-independent fields
     fields_commute = all(
         lie_bracket(fields[i], fields[j]).is_zero for i in range(n) for j in range(i + 1, n)
     )
-    def field_rank(point):
-        rows = [[c.evaluate(point, constants) for c in X.components] for X in fields]
-        return _linalg.rank(rows)
-
-    fields_independent = all(field_rank(pt) == n for pt in points)
+    fields_independent = all(_linalg.rank(rows) == n for rows in field_values)
 
     # (iii) invariance of the integrals
     fields_preserve = all(X.apply(f).is_zero for X in fields for f in integrals)
@@ -752,10 +754,9 @@ def check_normal_form(
             combo = combo + VectorField(chart, [coeff * c for c in X.components])
         coefficients_match = (gamma - combo).is_zero
     else:
-        for point in points:
-            columns = [[c.evaluate(point, constants) for c in X.components] for X in fields]
+        for point, row, columns in zip(points, values, field_values):
             matrix = [[columns[j][i] for j in range(n)] for i in range(chart.dimension)]
-            rhs = [c.evaluate(point, constants) for c in gamma.components]
+            rhs = row[n + n * chart.dimension:]
             solution = _linalg.solve(matrix, rhs)
             solved.append((point, solution is not None, solution or []))
 
@@ -824,7 +825,7 @@ def validate_cotangent_structure(theta: DifferentialForm, delta: VectorField) ->
     dtheta = exterior_derivative(theta)
     checks = {
         "contraction_reproduces_form": interior_product(delta, dtheta) == theta,
-        "derivative_nondegenerate": not symbolic_determinant(two_form_matrix(dtheta)).is_zero,
+        "derivative_nondegenerate": _nondegenerate(dtheta, seed=42)[0],
     }
     return StructureReport(kind="cotangent", checks=checks, valid=all(checks.values()))
 
@@ -848,10 +849,8 @@ def validate_linear_structure(delta: VectorField, sample_seed=42) -> StructureRe
             linear.append(name)
         else:
             other.append(name)
-    points = sample_points(chart, list(delta.components), seed=sample_seed)
-    zero_samples = [
-        pt for pt in points if all(c.evaluate(pt) == 0 for c in delta.components)
-    ]
+    points, values = sample_points(chart, list(delta.components), seed=sample_seed)
+    zero_samples = [pt for pt, row in zip(points, values) if not any(row)]
     checks = {
         "linear_coordinates": linear,
         "invariant_coordinates": invariant,
@@ -867,7 +866,7 @@ def validate_linear_structure(delta: VectorField, sample_seed=42) -> StructureRe
 def validate_structures(kind: str, sample_seed: int = 42, **objects) -> StructureReport:
     """Dispatch to one of the structure validators by kind name.
 
-    Only the linear validator samples points; the others ignore the seed.
+    Only the linear validator takes the seed; the cotangent one samples at 42.
     """
     if kind == "tangent":
         return validate_tangent_structure(objects["tensor"], objects["delta"])

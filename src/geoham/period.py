@@ -350,7 +350,8 @@ def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: f
     if initial_energy is not None:
         # one call on the (dim × m) samples; a constant H returns one float
         samples = solution(np.linspace(t_start, t_end, max(64, 4 * len(ts))))
-        max_drift = float(np.max(np.abs(system._energy(samples) - initial_energy)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an orbit beyond the float range
+            max_drift = float(np.max(np.abs(system._energy(samples) - initial_energy)))
     return Trajectory(solution=solution, initial_energy=initial_energy, max_energy_drift=max_drift)
 
 
@@ -394,7 +395,8 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
     minimum in (eps/10, eps] sets the ``ambiguous`` flag.  Quasi-periodic
     or escaping orbits report ``periodic=False``, with ``min_distance``
     the closest refined minimum after leaving the eps-ball (None if the
-    distance has no such minimum).
+    distance has no such minimum).  The search ends at the first distance
+    sample that is not finite: the orbit has left the float range.
     """
     if not (0 < eps < math.inf and 0 < t_max < math.inf):
         raise ValueError("eps and t_max must be positive and finite")
@@ -412,7 +414,11 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
         if max_drift is not None:
             max_drift = max(max_drift, trajectory.max_energy_drift)
         ts = np.linspace(start, stop, max(16, int(round((stop - start) / SAMPLE_SPACING))))
-        dists = np.sqrt(np.sum((trajectory.solution(ts) - x0[:, None]) ** 2, axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists = np.sqrt(np.sum((trajectory.solution(ts) - x0[:, None]) ** 2, axis=0))
+        if not np.isfinite(dists).all():
+            return PeriodDetection(False, None, closest if math.isfinite(closest) else None, False,
+                                   "orbit left the float range", None)
         inner = dists[1:-1]
         first = 0  # candidate minima start after the sample that leaves the ball
         if not left_ball:

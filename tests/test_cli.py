@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import geoham
-from geoham.cli import run
+from geoham.cli import _build_argument_parser, run
 from geoham.expr import parse_expression
 from geoham.sysfile import load_system_file, parse_form_literal, parse_vector_field_literal
 
@@ -332,6 +332,55 @@ def test_period_option_that_is_not_positive_and_finite_is_a_usage_error(tmp_path
     assert result.returncode == 2
     assert result.stdout == "" and "Traceback" not in result.stderr
     assert f"argument {option}: " in result.stderr
+
+
+def run_subprocess(*args, timeout):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoham.__file__)))
+    return subprocess.run([sys.executable, "-m", "geoham.cli", *args], timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("rtol", ["10", "3"])
+def test_orbit_that_leaves_the_float_range_ends_its_seed(rtol):
+    result = run_subprocess("period", fixture("harmonic.sys"), "--rtol", rtol, timeout=5)
+    assert result.returncode == 0
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    records = [r for entry in json.loads(result.stdout)["results"]
+               for r in entry["table"]["records"]]
+    assert records and all(not r["converged"] and r["reason"] == "orbit left the float range"
+                           for r in records)
+
+
+SWAP_ALTGEN = """chart q1, q2, p1, p2
+scalar F = {invariant}
+vectorfield Gamma = [p1, p2, -q1, -q2]
+tensor T = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+altgen twist : tensor=T invariant=F field=Gamma
+"""
+
+
+@pytest.mark.parametrize(
+    "invariant",
+    ["(p1^2 + q1^2)/(1 + p2^2 + q2^2)", "(q1*p2 - q2*p1)/(p1^2 + q1^2 + p2^2 + q2^2)"],
+    ids=["shifted-quotient", "angular-momentum-quotient"],
+)
+def test_altgen_quotient_invariant_is_decided_within_a_second(tmp_path, invariant):
+    path = tmp_path / "swap.sys"
+    path.write_text(SWAP_ALTGEN.format(invariant=invariant))
+    result = run_subprocess("altgen", str(path), timeout=1)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["results"][0]["description"]["nondegenerate"] is True
+
+
+def test_usage_error_then_valid_run_in_one_process(capsys):
+    alone_usage = run_subprocess("verify", timeout=5)
+    alone_report = run_subprocess("verify", fixture("oscillator_r4.sys"), timeout=5)
+    with pytest.raises(SystemExit) as usage:
+        run(["verify"])
+    assert usage.value.code == alone_usage.returncode == 2
+    assert capsys.readouterr().err == alone_usage.stderr
+    assert run_cli("verify", fixture("oscillator_r4.sys")) == (0, alone_report.stdout)
+    assert _build_argument_parser() is _build_argument_parser()
 
 
 def test_missing_file_exit_code():

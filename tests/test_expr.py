@@ -301,7 +301,7 @@ def test_chart_validation():
 
 # -- sympy as the oracle ---------------------------------------------------------
 
-ORACLE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+ORACLE = settings(max_examples=25)
 
 coefficients = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 

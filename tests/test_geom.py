@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from geoham import catalog
+from geoham import catalog, geom
 from geoham.expr import Chart, Polynomial, RationalFunction, parse_expression
 from geoham.geom import (
     DifferentialForm,
@@ -17,6 +20,7 @@ from geoham.geom import (
     is_hamiltonian_description,
     lie_bracket,
     lie_derivative,
+    sample_points,
     symbolic_determinant,
     tensor_insertion,
     twisted_differential,
@@ -340,6 +344,94 @@ def test_hamiltonian_description_perturbed_fails():
 def test_twisted_two_form_of_golden_data_is_degenerate():
     w = twisted_two_form(OSC.swap_tensor, OSC.quartic_invariant)
     assert symbolic_determinant(two_form_matrix(w)).is_zero
+
+
+# -- nondegeneracy: the sample-point certificate and the exact fallback ---------
+
+SYMBOLS = sympy.symbols(R4.names)
+
+
+def to_sympy(f):
+    return sympy.sympify(str(f).replace("^", "**"), locals=dict(zip(R4.names, SYMBOLS)))
+
+
+small_polynomials = st.builds(
+    lambda c, e, d: RationalFunction(Polynomial(R4, {e: c, (0, 0, 0, 0): d})),
+    st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * 4), st.integers(-2, 2))
+small_coefficients = st.one_of(
+    st.just(0), st.integers(-3, 3).map(Fraction), small_polynomials,
+    st.builds(lambda a, b: a / (b * b + RationalFunction.from_scalar(R4, 1)),
+              small_polynomials, small_polynomials))
+
+
+@st.composite
+def two_forms(draw):
+    """General 2-forms on R^4, and decomposable ones α∧β (det ≡ 0), β polynomial."""
+    if draw(st.booleans()):
+        pairs = itertools.combinations(range(4), 2)
+        return DifferentialForm(R4, 2, {idx: draw(small_coefficients) for idx in pairs})
+    alpha = {(i,): draw(small_coefficients) for i in range(4)}
+    beta = {(i,): draw(st.one_of(st.integers(-3, 3), small_polynomials)) for i in range(4)}
+    return wedge(DifferentialForm(R4, 1, alpha), DifferentialForm(R4, 1, beta))
+
+
+def describe(form):
+    return is_hamiltonian_description(VectorField.zero(R4), form, R4.zero())
+
+
+@settings(max_examples=30)
+@given(two_forms())
+def test_nondegeneracy_matches_the_sympy_determinant(form):
+    report = describe(form)
+    matrix = sympy.Matrix([[to_sympy(x) for x in row] for row in two_form_matrix(form)])
+    points, _ = sample_points(R4, list(form.coeffs.values()))
+    vanishing = [pt for pt in points
+                 if matrix.subs(dict(zip(SYMBOLS, map(sympy.Rational, pt)))).det() == 0]
+    if len(vanishing) < len(points):  # sympy's own value at a point shows det ≢ 0
+        nonzero = True
+    else:  # sympy's determinant over the fraction field Q(q1, q2, p1, p2)
+        exact = DomainMatrix.from_Matrix(matrix)
+        nonzero = exact.det() != exact.domain.zero
+    assert report.nondegenerate == nonzero
+    assert report.degenerate_samples == (vanishing if nonzero else [])
+
+
+def test_identically_degenerate_form_is_decided_by_the_fallback(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geom, "symbolic_determinant",
+                        lambda rows: calls.append(rows) or symbolic_determinant(rows))
+    form = DifferentialForm(R4, 2, {(0, 1): rf("q1/(1 + p1^2)"), (0, 2): rf("p2")})
+    report = describe(form)
+    assert len(calls) == 1
+    assert not report.nondegenerate and report.degenerate_samples == []
+
+
+def test_samples_on_the_degeneracy_locus_are_all_listed(monkeypatch):
+    # det W = q1^4 (p1^2 + 1)^-2: nonzero, but zero on the hyperplane q1 = 0
+    form = DifferentialForm(R4, 2, {(0, 2): rf("q1/(p1^2 + 1)"), (1, 3): rf("q1/(p1^2 + 1)")})
+    on_locus = [[Fraction(0), Fraction(k, 8), Fraction(3 - k), Fraction(k)] for k in range(8)]
+    off_locus = [[Fraction(1)] + point[1:] for point in on_locus[:3]]
+
+    def sample_at(points):
+        return lambda chart, probes, seed=42, constants=None: (
+            points, [[f.evaluate(pt) for f in probes] for pt in points])
+
+    monkeypatch.setattr(geom, "sample_points", sample_at(on_locus))
+    report = describe(form)
+    assert report.nondegenerate and report.degenerate_samples == on_locus
+    monkeypatch.setattr(geom, "sample_points", sample_at(off_locus + on_locus[:2]))
+    report = describe(form)
+    assert report.nondegenerate and report.degenerate_samples == on_locus[:2]
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(small_coefficients, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_symbolic_determinant_matches_sympy(rows):
+    rows = [[x if isinstance(x, RationalFunction) else RationalFunction.from_scalar(R4, x)
+             for x in row] for row in rows]
+    expected = sympy.Matrix([[to_sympy(x) for x in row] for row in rows]).det()
+    assert sympy.cancel(to_sympy(symbolic_determinant(rows)) - expected) == 0
 
 
 def invariant_oscillator_tensor(rng, chart):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from geoham import _linalg  # noqa: E402
 from geoham.linfact import ExactMatrix, skew_constraint_kernel  # noqa: E402
 
-CHECK = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+CHECK = settings(max_examples=30)
 
 entries = st.one_of(
     st.just(Fraction(0)),

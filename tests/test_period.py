@@ -203,7 +203,7 @@ def step_inputs(draw):
             draw(st.floats(1e-6, 0.5)), draw(st.floats(1e-12, 1e-3)), draw(st.floats(1e-14, 1e-3)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(step_inputs())
 def test_generated_step_is_bit_identical_to_the_list_step(arguments):
     rhs, t, y, k1, h, rtol, atol = arguments
