@@ -35,7 +35,7 @@ from .report import (
     period_table_to_dict,
     render_report,
 )
-from .sysfile import load_system_file
+from .sysfile import REQUEST_KINDS, load_system_file
 from .torus import INDEPENDENCE_ASSUMPTION, classify
 
 DEPENDENCE_REL_TOL = 1e-6
@@ -61,7 +61,7 @@ def _build_argument_parser():
     )
     parser.add_argument(
         "subcommand",
-        choices=["verify", "factorize", "altgen", "resonance", "period", "normalform", "validate"],
+        choices=REQUEST_KINDS,
     )
     parser.add_argument("file", help="system-definition file")
     parser.add_argument("--seed", type=int, default=42, help="seed for all randomness")
@@ -87,6 +87,7 @@ def _run_verify(system, options):
             request.objects["form"],
             request.objects["hamiltonian"],
             sample_seed=options.seed,
+            constants=system.constant_values,
         )
         entry = {"request": request.name, "kind": "verify"}
         entry.update(report.to_dict())
@@ -168,7 +169,8 @@ def _run_altgen(system, options):
                 interior_product(tensor.apply(gamma), differential(invariant)).coefficient(())
             )
             description = is_hamiltonian_description(
-                gamma, two_form, new_hamiltonian, sample_seed=options.seed
+                gamma, two_form, new_hamiltonian, sample_seed=options.seed,
+                constants=system.constant_values,
             )
             entry.update(
                 {
@@ -285,7 +287,8 @@ def _run_validate(system, options):
     results = []
     for request in system.requests_of("validate"):
         report = validate_structures(
-            request.options["structure"], sample_seed=options.seed, **request.objects
+            request.options["structure"], sample_seed=options.seed,
+            constants=system.constant_values, **request.objects
         )
         results.append({"request": request.name, "kind": "validate", **report.to_dict()})
     return results, [], False

@@ -6,6 +6,11 @@ Coefficients are exact rational functions, so every identity here
 residuals) is decided exactly, not numerically.  A nonzero determinant of a 2-form's
 coefficient matrix at one seeded sample point proves it nondegenerate; only when
 every sample vanishes is the determinant expanded symbolically.
+
+Every contraction (X(f), T(X), S∘T, d_T f, i_T a, Σ νʲXⱼ) is one ``_dot``: the
+products of the nonzero pairs, added left to right.  Quotients are never
+reduced, so that order fixes the printed coefficients.  L_X T is X(T) − J∘T + T∘J
+with J the Jacobian of X, built once.
 """
 
 from __future__ import annotations
@@ -67,25 +72,16 @@ class VectorField:
 
     def apply(self, f: RationalFunction) -> RationalFunction:
         """Directional derivative X(f) = sum_i X^i df/dx_i."""
-        total = self.chart.zero()
-        for i, comp in enumerate(self.components):
-            if not comp.is_zero:
-                total = total + comp * f.derivative(i)
-        return total
+        return _dot(self.chart, ((c, f.derivative(i))
+                                 for i, c in enumerate(self.components) if not c.is_zero))
 
     @property
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.components)
 
-    def evaluate(self, point, constants=None):
-        return [c.evaluate(point, constants) for c in self.components]
-
     def __eq__(self, other):
-        return (
-            isinstance(other, VectorField)
-            and self.chart == other.chart
-            and all(a == b for a, b in zip(self.components, other.components))
-        )
+        return (isinstance(other, VectorField) and self.chart == other.chart
+                and self.components == other.components)
 
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.components) + "]"
@@ -181,12 +177,12 @@ class DifferentialForm:
     def __eq__(self, other):
         if not isinstance(other, DifferentialForm):
             return NotImplemented
-        if self.chart != other.chart or self.degree != other.degree:
-            return False
-        for idx in set(self.coeffs) | set(other.coeffs):
-            if self.coefficient(idx) != other.coefficient(idx):
-                return False
-        return True
+        return (
+            self.chart == other.chart
+            and self.degree == other.degree
+            and self.coeffs.keys() == other.coeffs.keys()
+            and all(c == other.coeffs[idx] for idx, c in self.coeffs.items())
+        )
 
     def __str__(self):
         names = self.chart.names
@@ -230,30 +226,14 @@ class Tensor11:
 
     def apply(self, X: VectorField) -> VectorField:
         require_same_chart(self, X)
-        comps = []
-        for row in self.components:
-            total = self.chart.zero()
-            for entry, x in zip(row, X.components):
-                if not entry.is_zero and not x.is_zero:
-                    total = total + entry * x
-            comps.append(total)
-        return VectorField(self.chart, comps)
+        return VectorField(self.chart, [_dot(self.chart, zip(row, X.components))
+                                        for row in self.components])
 
     def compose(self, other: "Tensor11") -> "Tensor11":
         require_same_chart(self, other)
-        n = self.chart.dimension
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                total = self.chart.zero()
-                for k in range(n):
-                    a, b = self.components[i][k], other.components[k][j]
-                    if not a.is_zero and not b.is_zero:
-                        total = total + a * b
-                row.append(total)
-            rows.append(row)
-        return Tensor11(self.chart, rows)
+        columns = list(zip(*other.components))
+        return Tensor11(self.chart, [[_dot(self.chart, zip(row, column)) for column in columns]
+                                     for row in self.components])
 
     def __add__(self, other: "Tensor11") -> "Tensor11":
         require_same_chart(self, other)
@@ -280,15 +260,8 @@ class Tensor11:
         return all(e.is_constant for row in self.components for e in row)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Tensor11)
-            and self.chart == other.chart
-            and all(
-                a == b
-                for ra, rb in zip(self.components, other.components)
-                for a, b in zip(ra, rb)
-            )
-        )
+        return (isinstance(other, Tensor11) and self.chart == other.chart
+                and self.components == other.components)
 
     def __str__(self):
         return "[" + ", ".join(
@@ -307,6 +280,17 @@ def _as_rf(chart: Chart, value) -> RationalFunction:
     if isinstance(value, (int, Fraction)):
         return RationalFunction.from_scalar(chart, value)
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+
+
+def _dot(chart: Chart, pairs) -> RationalFunction:
+    """Σ a·b over the pairs whose factors are both nonzero, added left to right
+    from zero.  Quotients are never reduced, so this order fixes the printed
+    form of every contraction built on it."""
+    total = chart.zero()
+    for a, b in pairs:
+        if not a.is_zero and not b.is_zero:
+            total = total + a * b
+    return total
 
 
 def _sort_with_sign(idx):
@@ -389,19 +373,16 @@ def interior_product(X: VectorField, a: DifferentialForm) -> DifferentialForm:
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Commutator [X, Y]; antisymmetric, satisfies the Jacobi identity."""
     require_same_chart(X, Y)
-    chart = X.chart
-    comps = []
-    for i in range(chart.dimension):
-        comps.append(X.apply(Y.components[i]) - Y.apply(X.components[i]))
-    return VectorField(chart, comps)
+    return VectorField(X.chart, [X.apply(y) - Y.apply(x)
+                                 for x, y in zip(X.components, Y.components)])
 
 
 def lie_derivative(X: VectorField, target):
     """Lie derivative along X of a function, form, vector field, or tensor.
 
     Forms use Cartan's formula i_X d + d i_X; vector fields reduce to
-    the bracket; (1,1)-tensors use the Leibniz-compatible component
-    formula, so L_X(T(Y)) = (L_X T)(Y) + T(L_X Y) holds exactly.
+    the bracket; (1,1)-tensors use L_X T = X(T) − J∘T + T∘J with J the
+    Jacobian of X, so L_X(T(Y)) = (L_X T)(Y) + T(L_X Y) holds exactly.
     """
     if isinstance(target, RationalFunction):
         return X.apply(target)
@@ -417,22 +398,10 @@ def lie_derivative(X: VectorField, target):
         return lie_bracket(X, target)
     if isinstance(target, Tensor11):
         require_same_chart(X, target)
-        chart = X.chart
-        n = chart.dimension
-        T = target.components
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                total = X.apply(T[i][j])
-                for k in range(n):
-                    if not T[k][j].is_zero:
-                        total = total - T[k][j] * X.components[i].derivative(k)
-                    if not T[i][k].is_zero:
-                        total = total + T[i][k] * X.components[k].derivative(j)
-                row.append(total)
-            rows.append(row)
-        return Tensor11(chart, rows)
+        n = X.chart.dimension
+        J = Tensor11(X.chart, [[c.derivative(k) for k in range(n)] for c in X.components])
+        XT = Tensor11(X.chart, [[X.apply(e) for e in row] for row in target.components])
+        return XT - J.compose(target) + target.compose(J)
     raise TypeError(f"cannot take a Lie derivative of {type(target).__name__}")
 
 
@@ -441,16 +410,9 @@ def twisted_differential(T: Tensor11, f: RationalFunction) -> DifferentialForm:
     require_same_chart(T, DifferentialForm.from_function(f))
     chart = T.chart
     partials = [f.derivative(j) for j in range(chart.dimension)]
-    coeffs = {}
-    for i in range(chart.dimension):
-        total = chart.zero()
-        for j in range(chart.dimension):
-            entry = T.components[j][i]
-            if not entry.is_zero and not partials[j].is_zero:
-                total = total + partials[j] * entry
-        if not total.is_zero:
-            coeffs[(i,)] = total
-    return DifferentialForm(chart, 1, coeffs)
+    columns = zip(*T.components)
+    return DifferentialForm(chart, 1, {(i,): _dot(chart, zip(partials, column))
+                                       for i, column in enumerate(columns)})
 
 
 def tensor_insertion(T: Tensor11, a: DifferentialForm) -> DifferentialForm:
@@ -461,17 +423,9 @@ def tensor_insertion(T: Tensor11, a: DifferentialForm) -> DifferentialForm:
         return DifferentialForm.zero(chart, 0)
     coeffs = {}
     for idx in combinations(range(chart.dimension), a.degree):
-        total = chart.zero()
-        for s in range(a.degree):
-            for m in range(chart.dimension):
-                entry = T.components[m][idx[s]]
-                if entry.is_zero:
-                    continue
-                coeff = a.coefficient(idx[:s] + (m,) + idx[s + 1:])
-                if not coeff.is_zero:
-                    total = total + entry * coeff
-        if not total.is_zero:
-            coeffs[idx] = total
+        coeffs[idx] = _dot(chart, ((row[i], a.coefficient(idx[:s] + (m,) + idx[s + 1:]))
+                                   for s, i in enumerate(idx)
+                                   for m, row in enumerate(T.components) if not row[i].is_zero))
     return DifferentialForm(chart, a.degree, coeffs)
 
 
@@ -561,19 +515,21 @@ def sample_points(chart: Chart, probes, seed=42, constants=None):
     return points, values
 
 
-def _nondegenerate(form: DifferentialForm, seed) -> tuple:
+def _nondegenerate(form: DifferentialForm, seed, constants=None) -> tuple:
     """(det W ≢ 0, the sample points where det W = 0) for a 2-form's matrix W.
 
     One nonzero det W(p), from the sampler's values, proves det W ≢ 0
     (Schwartz 1980, Zippel 1979, used one-sidedly); only when every
     sample vanishes does ``symbolic_determinant`` decide.  A coefficient
-    using a declared constant has no value to sample with: then the exact
-    determinant decides alone and no point is reported.
+    using a declared constant missing from ``constants`` has no value to
+    sample with: then the exact determinant decides alone and no point is
+    reported.
     """
     n = form.chart.dimension
     keys = list(form.coeffs)
     try:
-        points, values = sample_points(form.chart, [form.coeffs[k] for k in keys], seed=seed)
+        points, values = sample_points(form.chart, [form.coeffs[k] for k in keys],
+                                       seed=seed, constants=constants)
     except ValueError:
         points, values = [], []
     degenerate = []
@@ -619,6 +575,7 @@ def is_hamiltonian_description(
     omega: DifferentialForm,
     hamiltonian: RationalFunction,
     sample_seed: int = 42,
+    constants=None,
 ) -> HamiltonianDescriptionReport:
     """Check whether (ω, H) is a Hamiltonian description of the field.
 
@@ -635,7 +592,7 @@ def is_hamiltonian_description(
     residual = interior_product(gamma, omega) - differential(hamiltonian)
     matches = residual.is_zero
     closed = exterior_derivative(omega).is_zero
-    nondegenerate, degenerate_samples = _nondegenerate(omega, sample_seed)
+    nondegenerate, degenerate_samples = _nondegenerate(omega, sample_seed, constants)
     return HamiltonianDescriptionReport(
         holds=matches and closed,
         closed=closed,
@@ -749,9 +706,8 @@ def check_normal_form(
     if nu is not None:
         if len(nu) != n:
             raise ValueError("need one coefficient function per field")
-        combo = VectorField.zero(chart)
-        for coeff, X in zip(nu, fields):
-            combo = combo + VectorField(chart, [coeff * c for c in X.components])
+        combo = VectorField(chart, [_dot(chart, zip(nu, column))
+                                    for column in zip(*(X.components for X in fields))])
         coefficients_match = (gamma - combo).is_zero
     else:
         for point, row, columns in zip(points, values, field_values):
@@ -817,7 +773,8 @@ def validate_tangent_structure(S: Tensor11, delta: VectorField) -> StructureRepo
     return StructureReport(kind="tangent", checks=checks, valid=valid)
 
 
-def validate_cotangent_structure(theta: DifferentialForm, delta: VectorField) -> StructureReport:
+def validate_cotangent_structure(theta: DifferentialForm, delta: VectorField,
+                                 sample_seed=42, constants=None) -> StructureReport:
     """Cotangent-bundle structure checks for a candidate Liouville 1-form."""
     require_same_chart(theta, delta)
     if theta.degree != 1:
@@ -825,12 +782,13 @@ def validate_cotangent_structure(theta: DifferentialForm, delta: VectorField) ->
     dtheta = exterior_derivative(theta)
     checks = {
         "contraction_reproduces_form": interior_product(delta, dtheta) == theta,
-        "derivative_nondegenerate": _nondegenerate(dtheta, seed=42)[0],
+        "derivative_nondegenerate": _nondegenerate(dtheta, sample_seed, constants)[0],
     }
     return StructureReport(kind="cotangent", checks=checks, valid=all(checks.values()))
 
 
-def validate_linear_structure(delta: VectorField, sample_seed=42) -> StructureReport:
+def validate_linear_structure(delta: VectorField, sample_seed=42,
+                              constants=None) -> StructureReport:
     """Dilation-field checks for a (partial) linear structure.
 
     Classifies each coordinate as invariant (L_Δ x = 0) or linear
@@ -849,7 +807,8 @@ def validate_linear_structure(delta: VectorField, sample_seed=42) -> StructureRe
             linear.append(name)
         else:
             other.append(name)
-    points, values = sample_points(chart, list(delta.components), seed=sample_seed)
+    points, values = sample_points(chart, list(delta.components), seed=sample_seed,
+                                   constants=constants)
     zero_samples = [pt for pt, row in zip(points, values) if not any(row)]
     checks = {
         "linear_coordinates": linear,
@@ -863,15 +822,15 @@ def validate_linear_structure(delta: VectorField, sample_seed=42) -> StructureRe
     )
 
 
-def validate_structures(kind: str, sample_seed: int = 42, **objects) -> StructureReport:
-    """Dispatch to one of the structure validators by kind name.
-
-    Only the linear validator takes the seed; the cotangent one samples at 42.
-    """
+def validate_structures(kind: str, sample_seed: int = 42, constants=None,
+                        **objects) -> StructureReport:
+    """Dispatch to one of the structure validators by kind name; the
+    sampling validators (cotangent, linear) take the seed and constants."""
     if kind == "tangent":
         return validate_tangent_structure(objects["tensor"], objects["delta"])
     if kind == "cotangent":
-        return validate_cotangent_structure(objects["one_form"], objects["delta"])
+        return validate_cotangent_structure(objects["one_form"], objects["delta"],
+                                            sample_seed, constants)
     if kind == "linear":
-        return validate_linear_structure(objects["delta"], sample_seed=sample_seed)
+        return validate_linear_structure(objects["delta"], sample_seed, constants)
     raise ValueError(f"unknown structure kind {kind!r}")

@@ -78,7 +78,7 @@ class SystemFile:
         return value
 
 
-def split_top_level(text, separator):
+def split_top_level(text, separator, line=None):
     """Split on a separator character, ignoring bracketed regions."""
     parts = []
     depth = 0
@@ -89,7 +89,7 @@ def split_top_level(text, separator):
         elif c in _BRACKETS.values():
             depth -= 1
             if depth < 0:
-                raise ValueError("unbalanced brackets")
+                raise ParseError("unbalanced brackets", line=line)
         if c == separator and depth == 0:
             parts.append("".join(current))
             current = []
@@ -107,12 +107,8 @@ def parse_nested_list(text, line=None):
     inner = text[1:-1].strip()
     if not inner:
         return []
-    try:
-        parts = split_top_level(inner, ",")
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from exc
     out = []
-    for part in parts:
+    for part in split_top_level(inner, ",", line):
         part = part.strip()
         if part.startswith("["):
             out.append(parse_nested_list(part, line=line))
@@ -135,7 +131,7 @@ def parse_form_literal(text, chart: Chart, line=None) -> DifferentialForm:
     if body == "0" or not body:
         return DifferentialForm.zero(chart, degree)
     coeffs = {}
-    for term in split_top_level(body, "+"):
+    for term in split_top_level(body, "+", line):
         term = term.strip()
         if not term.startswith("("):
             raise ParseError(f"form term must start with a parenthesized coefficient: {term!r}",
@@ -176,17 +172,27 @@ def parse_vector_field_literal(text, chart: Chart, line=None) -> VectorField:
     leaves = parse_nested_list(text, line=line)
     if any(isinstance(x, list) for x in leaves):
         raise ParseError("vector field entries must be expressions", line=line)
-    return VectorField(chart, [parse_expression(x, chart, line=line) for x in leaves])
+    try:
+        return VectorField(chart, [parse_expression(x, chart, line=line) for x in leaves])
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from exc
+
+
+def _rows(text, what, line=None):
+    """A bracketed list of bracketed rows of entries: [[a, b], [c, d]]."""
+    rows = parse_nested_list(text, line=line)
+    if any(not isinstance(row, list) or any(isinstance(x, list) for x in row) for row in rows):
+        raise ParseError(f"{what} literal must be a list of rows of entries", line=line)
+    return rows
 
 
 def parse_tensor_literal(text, chart: Chart, line=None) -> Tensor11:
-    rows = parse_nested_list(text, line=line)
-    parsed = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError("tensor literal must be a list of rows", line=line)
-        parsed.append([parse_expression(x, chart, line=line) for x in row])
-    return Tensor11(chart, parsed)
+    rows = _rows(text, "tensor", line)
+    try:
+        return Tensor11(chart, [[parse_expression(x, chart, line=line) for x in row]
+                                for row in rows])
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from exc
 
 
 def _fraction(text, line=None) -> Fraction:
@@ -204,14 +210,9 @@ def _integer(text, line=None) -> int:
 
 
 def parse_matrix_literal(text, line=None) -> ExactMatrix:
-    rows = parse_nested_list(text, line=line)
-    parsed = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError("matrix literal must be a list of rows", line=line)
-        parsed.append([_fraction(x, line=line) for x in row])
+    rows = _rows(text, "matrix", line)
     try:
-        return ExactMatrix(parsed)
+        return ExactMatrix([[_fraction(x, line=line) for x in row] for row in rows])
     except ValueError as exc:
         raise ParseError(str(exc), line=line) from exc
 
@@ -222,7 +223,7 @@ def parse_frequencies_literal(text, line=None) -> FrequencySpec:
         raise ParseError("frequencies literal must be brace-enclosed", line=line)
     basis = None
     coeffs = None
-    for clause in split_top_level(text[1:-1], ";"):
+    for clause in split_top_level(text[1:-1], ";", line):
         clause = clause.strip()
         if not clause:
             continue
@@ -231,8 +232,8 @@ def parse_frequencies_literal(text, line=None) -> FrequencySpec:
         if key == "basis":
             basis = [str(x).strip() for x in parse_nested_list(value.strip(), line=line)]
         elif key == "omega":
-            rows = parse_nested_list(value.strip(), line=line)
-            coeffs = [[_fraction(x, line=line) for x in row] for row in rows]
+            coeffs = [[_fraction(x, line=line) for x in row]
+                      for row in _rows(value.strip(), "omega", line)]
         else:
             raise ParseError(f"unknown frequencies key {key!r}", line=line)
     if basis is None or coeffs is None:
@@ -288,10 +289,10 @@ class _RequestParser:
         return Request(kind=kind, name=name, objects=objects, options=options, line=line)
 
     @staticmethod
-    def _split_args(rest):
+    def _split_args(rest, line):
         positional = []
         keyword = {}
-        for token in split_top_level(rest, " "):
+        for token in split_top_level(rest, " ", line):
             token = token.strip()
             if not token:
                 continue
@@ -303,7 +304,7 @@ class _RequestParser:
         return positional, keyword
 
     def _verify(self, rest, line):
-        args, kwargs = self._split_args(rest)
+        args, kwargs = self._split_args(rest, line)
         if len(args) != 3 or kwargs:
             raise ParseError("verify needs: <field> <2-form> <scalar>", line=line)
         return {
@@ -313,13 +314,13 @@ class _RequestParser:
         }, {}
 
     def _factorize(self, rest, line):
-        args, kwargs = self._split_args(rest)
+        args, kwargs = self._split_args(rest, line)
         if len(args) != 1 or kwargs:
             raise ParseError("factorize needs: <matrix>", line=line)
         return {"matrix": self.system.object(args[0], ("matrix",), line)}, {}
 
     def _altgen(self, rest, line):
-        args, kwargs = self._split_args(rest)
+        args, kwargs = self._split_args(rest, line)
         if args:
             raise ParseError("altgen takes only key=value arguments", line=line)
         if "matrix" in kwargs:
@@ -350,13 +351,13 @@ class _RequestParser:
         raise ParseError("altgen needs either matrix=... or tensor=...", line=line)
 
     def _resonance(self, rest, line):
-        args, kwargs = self._split_args(rest)
+        args, kwargs = self._split_args(rest, line)
         if len(args) != 1 or kwargs:
             raise ParseError("resonance needs: <frequencies>", line=line)
         return {"spec": self.system.object(args[0], ("frequencies",), line)}, {}
 
     def _period(self, rest, line):
-        args, kwargs = self._split_args(rest)
+        args, kwargs = self._split_args(rest, line)
         if len(args) != 1:
             raise ParseError("period needs: <scalar> energies=[...] seeds=<n>", line=line)
         if "energies" not in kwargs:
@@ -375,7 +376,7 @@ class _RequestParser:
         )
 
     def _normalform(self, rest, line):
-        args, kwargs = self._split_args(rest)
+        args, kwargs = self._split_args(rest, line)
         if len(args) != 1 or "integrals" not in kwargs or "fields" not in kwargs:
             raise ParseError(
                 "normalform needs: <field> integrals=[...] fields=[...] [nu=[...]]", line=line
@@ -404,7 +405,7 @@ class _RequestParser:
         return objects, {}
 
     def _validate(self, rest, line):
-        args, kwargs = self._split_args(rest)
+        args, kwargs = self._split_args(rest, line)
         if kwargs or not args:
             raise ParseError(
                 "validate needs: tangent <tensor> <field> | cotangent <form> <field> | linear <field>",
@@ -463,7 +464,7 @@ def parse_system_file(text: str, path: str = "<string>") -> SystemFile:
                 raise ParseError("constants must follow the chart declaration", line=line)
             if objects_seen_before_constants:
                 raise ParseError("constants must be declared before objects", line=line)
-            for entry in split_top_level(rest, ","):
+            for entry in split_top_level(rest, ",", line):
                 entry = entry.strip()
                 if not entry:
                     continue

@@ -12,11 +12,14 @@ from pathlib import Path
 import pytest
 
 import geoham
+from geoham import geom
 from geoham.cli import _build_argument_parser, run
 from geoham.expr import parse_expression
 from geoham.sysfile import load_system_file, parse_form_literal, parse_vector_field_literal
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args):
@@ -252,6 +255,24 @@ def test_duplicate_chart_symbol_is_a_located_parse_error(tmp_path, capsys, text)
     assert err == "parse error: duplicate symbol name 'q' at line 1\n"
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [("scalar H = p^2 + q^2\nperiod s : H energies=[1: 2] seeds=3]", "unbalanced brackets"),
+     ("form w = 2-form: (1) dq^dp) + (1) dq^dp", "unbalanced brackets"),
+     ("constants k = 1), m", "unbalanced brackets"),
+     ("vectorfield G = [p -q]", "component count does not match chart dimension"),
+     ("tensor S = [[0, 0, 0], [1, 0, 0]]", "tensor component matrix must be dim x dim"),
+     ("matrix A = [[[1], 0], [0, 1]]", "matrix literal must be a list of rows of entries"),
+     ("frequencies nu = { basis: [1]; omega: [12, 3] }",
+      "omega literal must be a list of rows of entries")],
+    ids=["request", "form", "constants", "vectorfield", "tensor", "matrix", "omega"],
+)
+def test_malformed_literal_is_a_located_parse_error(tmp_path, capsys, body, message):
+    code, err = run_text(tmp_path, capsys, "verify", f"chart q, p\n{body}\n")
+    assert code == 1
+    assert err == f"parse error: {message} at line {body.count(chr(10)) + 2}\n"
+
+
 def test_constant_that_zeroes_a_denominator_exits_2(tmp_path, capsys):
     text = ("chart q, p\nconstants omega = 0\nscalar H = p^2/2 + q/omega\n"
             "period s : H energies=[1] seeds=1\n")
@@ -413,6 +434,56 @@ def test_reports_are_deterministic(subcommand, name):
     first = run_cli(subcommand, fixture(name), "--seed", "42")
     second = run_cli(subcommand, fixture(name), "--seed", "42")
     assert first == second
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+def test_report_matches_its_golden_file(monkeypatch, name):
+    subcommand, stem = name.split("-", 1)
+    monkeypatch.chdir(ROOT)
+    code, text = run_cli(subcommand, f"fixtures/{stem}.sys", "--seed", "42")
+    assert code == (2 if name == "factorize-identity" else 0)
+    assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+# -- declared constants reach the sampled checks -----------------------------------
+
+CONSTANT_FORM = ("chart q, p\nconstants k = {k}\nform w = 2-form: (k) dq^dp\n"
+                 "form theta = 1-form: (k*p) dq\nvectorfield G = [p, -q]\n"
+                 "vectorfield Delta = [0, p]\nscalar H = k/2*(p^2 + q^2)\n"
+                 "verify v : G w H\nvalidate cot : cotangent theta Delta\n")
+
+
+def test_linear_structure_with_a_declared_constant_exits_0(tmp_path):
+    path = tmp_path / "input.sys"
+    path.write_text("chart q, p\nconstants k = 2\nvectorfield Delta = [0, k*p]\n"
+                    "validate lin : linear Delta\n")
+    code, report = run_json("validate", str(path))
+    assert code == 0
+    checks = report["results"][0]["checks"]
+    assert checks["invariant_coordinates"] == ["q"] and checks["non_eigen_coordinates"] == ["p"]
+
+
+@pytest.mark.parametrize("subcommand,verdict", [("verify", "nondegenerate"), ("validate", "valid")])
+def test_form_with_a_declared_constant_is_certified_by_a_sample_point(tmp_path, monkeypatch,
+                                                                    subcommand, verdict):
+    def refuse(rows):
+        raise AssertionError("the symbolic determinant ran although a sample certifies")
+
+    monkeypatch.setattr(geom, "symbolic_determinant", refuse)
+    path = tmp_path / "input.sys"
+    path.write_text(CONSTANT_FORM.format(k=2))
+    code, report = run_json(subcommand, str(path))
+    assert code == 0 and report["results"][0][verdict] is True
+
+
+def test_samples_use_the_declared_constant_values(tmp_path):
+    path = tmp_path / "input.sys"
+    path.write_text(CONSTANT_FORM.format(k=0))
+    code, report = run_json("verify", str(path))
+    result = report["results"][0]
+    # det W = k^2 is a nonzero polynomial, but it vanishes at the declared k = 0
+    assert code == 0 and result["nondegenerate"] is True
+    assert len(result["degenerate_samples"]) == geom.SAMPLE_COUNT
 
 
 def test_input_digest_recorded():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -432,6 +433,70 @@ def test_symbolic_determinant_matches_sympy(rows):
              for x in row] for row in rows]
     expected = sympy.Matrix([[to_sympy(x) for x in row] for row in rows]).det()
     assert sympy.cancel(to_sympy(symbolic_determinant(rows)) - expected) == 0
+
+
+# -- contractions against sympy.Matrix products ------------------------------------
+
+coordinates = st.sampled_from(R4.names).map(R4.coordinate)
+binomials = st.builds(lambda c, x, d: c * x + d,
+                      st.integers(-3, 3), coordinates, st.integers(-2, 2))
+entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), binomials,
+                    st.builds(lambda a, x: a / (x * x + 1), binomials, coordinates))
+tensors = st.lists(entries, min_size=16, max_size=16).map(
+    lambda xs: Tensor11(R4, [xs[4 * i:4 * i + 4] for i in range(4)]))
+fields = st.lists(entries, min_size=4, max_size=4).map(lambda xs: VectorField(R4, xs))
+
+
+def sympy_matrix(T):
+    return sympy.Matrix([[to_sympy(x) for x in row] for row in T.components])
+
+
+QQ_RING = sympy.polys.rings.PolyRing(SYMBOLS, sympy.QQ)
+
+
+def same_entries(ours, expected):
+    """Each num/den of ours equals sympy's value p/q = sympy.cancel(...): num·q = p·den."""
+    for value, oracle in zip(ours, expected, strict=True):
+        p, q = map(QQ_RING.from_expr, sympy.fraction(sympy.cancel(oracle)))
+        num, den = (QQ_RING.from_dict(dict(f.terms)) for f in (value.num, value.den))
+        if num * q != p * den:
+            return False
+    return True
+
+
+@settings(max_examples=10)
+@given(tensors, tensors, fields)
+def test_compose_and_apply_match_sympy_matrix_products(S, T, X):
+    product = sympy_matrix(S) * sympy_matrix(T)
+    assert same_entries([e for row in S.compose(T).components for e in row], list(product))
+    image = sympy_matrix(S) * sympy.Matrix([to_sympy(c) for c in X.components])
+    assert same_entries(S.apply(X).components, list(image))
+
+
+@settings(max_examples=10)
+@given(fields, tensors)
+def test_tensor_lie_derivative_matches_its_component_formula(X, T):
+    # (L_X T)^i_j = X^k ∂_k T^i_j − T^k_j ∂_k X^i + T^i_k ∂_j X^k
+    x, t = [to_sympy(c) for c in X.components], sympy_matrix(T)
+    expected = [sum(x[k] * sympy.diff(t[i, j], SYMBOLS[k]) - t[k, j] * sympy.diff(x[i], SYMBOLS[k])
+                    + t[i, k] * sympy.diff(x[k], SYMBOLS[j]) for k in range(4))
+                for i in range(4) for j in range(4)]
+    assert same_entries([e for row in lie_derivative(X, T).components for e in row], expected)
+
+
+def test_tensor_lie_derivative_differentiates_each_field_component_once_per_coordinate(
+        monkeypatch):
+    calls = collections.Counter()
+    derivative = RationalFunction.derivative
+
+    def counting(self, var):
+        calls[id(self), var] += 1
+        return derivative(self, var)
+
+    monkeypatch.setattr(RationalFunction, "derivative", counting)
+    X = OSC.gamma
+    lie_derivative(X, OSC.swap_tensor)
+    assert [calls[id(c), k] for c in X.components for k in range(4)] == [1] * 16
 
 
 def invariant_oscillator_tensor(rng, chart):
