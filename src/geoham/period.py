@@ -3,11 +3,14 @@ dependence and obstruction tests.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with its
 continuous extension for dense output, one step generated per state
-dimension on scalar locals.  Period detection works with the full
-phase-space return to the seed point, so quasi-periodic orbits report
-no period instead of aliasing; the first re-entry into an eps-ball is
-refined by golden-section minimization of the distance along the dense
-solution.
+dimension on scalar locals; the stepper yields each accepted step, and
+the dense solution grows block by block.  Period detection works with
+the full phase-space return to the seed point, so quasi-periodic orbits
+report no period instead of aliasing; the first re-entry into an
+eps-ball is refined by golden-section minimization of the distance along
+the dense solution.  The search pulls steps only as far as its distance
+samples need, so it stops at the step that confirms the return, and the
+energy drift it reports covers the span actually integrated.
 
 The period of a flow is a diffeomorphism invariant, and on a connected
 family of periodic orbits the period depends on the energy alone; the
@@ -38,6 +41,12 @@ INITIAL_CHUNK = 8.0
 MAX_CHUNK = 64.0
 #: Spacing of the distance samples that locate candidate returns.
 SAMPLE_SPACING = 1.0 / 128.0
+#: Distance samples computed at a time (one time unit): the steps that cover
+#: them are taken, then their candidate returns are tested.
+SEARCH_WINDOW = 128
+#: Step attempts, accepted or rejected, that one _dopri call may make: over ten
+#: times the most that one chunk of the fixture and benchmark scans takes (7,000).
+MAX_STEP_ATTEMPTS = 100_000
 #: Random directions tried before an energy level is reported unattainable.
 DIRECTION_TRIES = 8
 
@@ -241,12 +250,15 @@ def _initial_step(rhs, t, y, f, span, rtol, atol):
 
 
 def _dopri(rhs, t, t_end, y, rtol, atol):
-    """Adaptive steps from (t, y) to t_end: step times, start states and stages.
+    """Adaptive steps from (t, y) to t_end, yielded as each is accepted:
+    (t_new, y_old, stages), with y_old the state at the step's start.
 
     A step is accepted when the RMS of its scaled error is below 1; no
     accepted step grows h after a rejection.  A stage that divides by zero
     or overflows, or a non-finite error, rejects the step at MIN_FACTOR, so
-    a pole ends in IntegrationError once h falls below 10 ulp(t).
+    a pole ends in IntegrationError once h falls below 10 ulp(t).  An orbit
+    that blows up in finite time ends there too, or at the latest after
+    MAX_STEP_ATTEMPTS attempts.
     """
     try:
         f = rhs(t, y)
@@ -254,7 +266,7 @@ def _dopri(rhs, t, t_end, y, rtol, atol):
         raise IntegrationError(f"the field is singular at the initial state {y}") from None
     h_abs = _initial_step(rhs, t, y, f, t_end - t, rtol, atol)
     step = _step_for(len(y))
-    ts, states, stages = [t], [], []
+    attempts = 0
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
         if h_abs < min_step:  # max(h_abs, min_step) and min(t + h_abs, t_end), without the calls
@@ -263,6 +275,10 @@ def _dopri(rhs, t, t_end, y, rtol, atol):
         while True:
             if h_abs < min_step:
                 raise IntegrationError(f"step size fell below the float spacing at t = {t!r}")
+            attempts += 1
+            if attempts > MAX_STEP_ATTEMPTS:
+                raise IntegrationError(
+                    f"the budget of {MAX_STEP_ATTEMPTS} step attempts ran out at t = {t!r}")
             t_new = t + h_abs
             if t_end < t_new:
                 t_new = t_end
@@ -278,28 +294,49 @@ def _dopri(rhs, t, t_end, y, rtol, atol):
             rejected = True
         factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.2)
         h_abs = h * (min(1.0, factor) if rejected else factor)
-        ts.append(t_new)
-        states.append(y)
-        stages.append(k)
+        yield t_new, y, k
         t, y, f = t_new, y_new, k[6]
-    return ts, states, stages
 
 
 class DenseSolution:
-    """The continuous extension of every step, at a scalar or an array of times.
+    """The continuous extension of a run of steps, at a scalar or an array of times.
 
-    A time on a step boundary uses the step that ends there; a time
-    outside [ts[0], ts[-1]] extrapolates the nearest step.
+    It starts with no step at t_start and grows by ``extend``, block by
+    block: each step's coefficients are computed once, into buffers that
+    double when full.  A time on a step boundary uses the step that ends
+    there; a time outside [ts[0], ts[-1]] extrapolates the nearest step.
     """
 
-    def __init__(self, ts, states, stages):
-        self.times = ts
-        self.ts = np.array(ts)
-        self.h = np.diff(self.ts)
-        self.y_old = np.array(states)
+    def __init__(self, t_start, dimension):
+        self.times = [t_start]
+        self._buffers = (np.array(self.times), np.empty(0), np.empty((0, dimension)),
+                         np.empty((0, dimension, 4)))
+        self._view(0)
+
+    def _view(self, n):
+        ts, h, y_old, Q = self._buffers
+        self.ts, self.h, self.y_old, self.Q = ts[:n + 1], h[:n], y_old[:n], Q[:n]
+
+    def extend(self, steps):
+        """Append accepted steps (t_new, y_old, stages) that continue from times[-1]."""
+        t_new, states, stages = zip(*steps)
+        n, m = len(self.h), len(states)
+        if n + m > len(self._buffers[1]):
+            capacity, d = max(2 * n, n + m), self.y_old.shape[1]
+            grown = (np.empty(capacity + 1), np.empty(capacity), np.empty((capacity, d)),
+                     np.empty((capacity, d, 4)))
+            for new, old in zip(grown, (self.ts, self.h, self.y_old, self.Q)):
+                new[:len(old)] = old
+            self._buffers = grown
+        ts, h, y_old, Q = self._buffers
+        ts[n + 1:n + m + 1] = t_new
+        h[n:n + m] = ts[n + 1:n + m + 1] - ts[n:n + m]
+        y_old[n:n + m] = states
         flat = chain.from_iterable(chain.from_iterable(stages))
-        K = np.fromiter(flat, float, count=self.y_old.size * 7).reshape(len(states), 7, -1)
-        self.Q = np.einsum("msn,sj->mnj", K, _P)
+        K = np.fromiter(flat, float, count=m * 7 * y_old.shape[1]).reshape(m, 7, -1)
+        Q[n:n + m] = np.einsum("msn,sj->mnj", K, _P)
+        self.times.extend(t_new)
+        self._view(n + m)
 
     def __call__(self, t):
         """The state (dim,) at a scalar t, or the states (dim, m) at m times."""
@@ -330,28 +367,32 @@ class Trajectory:
         return np.asarray(self.solution(t), dtype=float)
 
 
+def _energy_drift(system: FlowSystem, solution: DenseSolution, initial_energy: float) -> float:
+    """max |H(x(t)) − initial_energy| over max(64, 4·len(times)) samples of the span."""
+    times = solution.times
+    # one call on the (dim × m) samples; a constant H returns one float
+    samples = solution(np.linspace(times[0], times[-1], max(64, 4 * len(times))))
+    with np.errstate(over="ignore", invalid="ignore"):  # an orbit beyond the float range
+        return float(np.max(np.abs(system._energy(samples) - initial_energy)))
+
+
 def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
               t_start: float = 0.0) -> Trajectory:
     """Integrate the flow with the adaptive Dormand-Prince 5(4) pair.
 
-    Dense output is always kept; the trajectory records the maximum
-    energy drift |H(x(t)) − H(x0)| over a grid of max(64, 4·steps)
-    samples.
+    Every step to t_end is taken and kept as dense output; the trajectory
+    records the maximum energy drift |H(x(t)) − H(x0)| over a grid of
+    max(64, 4·steps) samples.
     """
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
         raise ValueError("t_end must be finite and exceed a finite t_start")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("tolerances must be positive and finite")
     x0 = [float(v) for v in x0]
-    ts, states, stages = _dopri(system.rhs, float(t_start), float(t_end), x0, rtol, atol)
-    solution = DenseSolution(ts, states, stages)
+    solution = DenseSolution(float(t_start), len(x0))
+    solution.extend(list(_dopri(system.rhs, float(t_start), float(t_end), x0, rtol, atol)))
     initial_energy = system.energy(x0)
-    max_drift = None
-    if initial_energy is not None:
-        # one call on the (dim × m) samples; a constant H returns one float
-        samples = solution(np.linspace(t_start, t_end, max(64, 4 * len(ts))))
-        with np.errstate(over="ignore", invalid="ignore"):  # an orbit beyond the float range
-            max_drift = float(np.max(np.abs(system._energy(samples) - initial_energy)))
+    max_drift = None if initial_energy is None else _energy_drift(system, solution, initial_energy)
     return Trajectory(solution=solution, initial_energy=initial_energy, max_energy_drift=max_drift)
 
 
@@ -397,6 +438,12 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
     the closest refined minimum after leaving the eps-ball (None if the
     distance has no such minimum).  The search ends at the first distance
     sample that is not finite: the orbit has left the float range.
+
+    The orbit is integrated in chunks, each sampled every SAMPLE_SPACING;
+    steps are taken as the search needs them, SEARCH_WINDOW samples at a
+    time, so the search stops at the step that confirms the return.  The
+    energy drift covers the span integrated, by integrate's rule on each
+    chunk.
     """
     if not (0 < eps < math.inf and 0 < t_max < math.inf):
         raise ValueError("eps and t_max must be positive and finite")
@@ -406,43 +453,69 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
     closest = math.inf
     chunk = INITIAL_CHUNK
     start = 0.0
-    state = x0
+    state = [float(v) for v in x0]
     while start < t_max:
         stop = min(start + chunk, t_max)
         chunk = min(2.0 * chunk, MAX_CHUNK)
-        trajectory = integrate(system, state, stop, rtol=rtol, atol=atol, t_start=start)
-        if max_drift is not None:
-            max_drift = max(max_drift, trajectory.max_energy_drift)
-        ts = np.linspace(start, stop, max(16, int(round((stop - start) / SAMPLE_SPACING))))
-        with np.errstate(over="ignore", invalid="ignore"):
-            dists = np.sqrt(np.sum((trajectory.solution(ts) - x0[:, None]) ** 2, axis=0))
-        if not np.isfinite(dists).all():
-            return PeriodDetection(False, None, closest if math.isfinite(closest) else None, False,
-                                   "orbit left the float range", None)
-        inner = dists[1:-1]
-        first = 0  # candidate minima start after the sample that leaves the ball
-        if not left_ball:
-            outside = np.flatnonzero(inner > eps)
-            left_ball = outside.size > 0
-            first = outside[0] + 1 if left_ball else inner.size
-        minima = np.flatnonzero((inner <= dists[:-2]) & (inner <= dists[2:]))
+        steps = _dopri(system.rhs, start, stop, state, rtol, atol)
+        solution = DenseSolution(start, len(state))
+        initial_energy = system.energy(state)
 
-        def distance(t, sol=trajectory.solution):
+        def distance(t, sol=solution):
             return float(np.linalg.norm(sol(t) - x0))
 
-        for i in minima[minima >= first] + 1:
-            t_best, d_best = _golden_minimize(distance, float(ts[i - 1]), float(ts[i + 1]),
-                                              eps * 1e-3)
-            if d_best <= eps:
-                return PeriodDetection(True, float(t_best), float(d_best), d_best > eps / 10.0,
-                                       None, max_drift)
-            closest = min(closest, d_best)
+        ts = np.linspace(start, stop, max(16, int(round((stop - start) / SAMPLE_SPACING))))
+        dists = np.empty_like(ts)
+        # candidate minima start after the sample that leaves the ball
+        first = 1 if left_ball else len(ts)
+        chunk_closest = math.inf  # joins closest when the chunk is searched to its end
+        done = 0  # samples whose distance is known
+        while done < len(ts):
+            end = min(done + SEARCH_WINDOW, len(ts))
+            target = float(ts[end - 1])
+            if solution.times[-1] < target:
+                block = []
+                for step in steps:
+                    block.append(step)
+                    if step[0] >= target:
+                        break
+                solution.extend(block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                window = np.sqrt(np.sum((solution(ts[done:end]) - x0[:, None]) ** 2, axis=0))
+            if not np.isfinite(window).all():
+                return PeriodDetection(False, None, closest if math.isfinite(closest) else None,
+                                       False, "orbit left the float range", None)
+            dists[done:end] = window
+            if not left_ball:  # the first and last samples of a chunk never count
+                lo = max(done, 1)
+                outside = np.flatnonzero(dists[lo:min(end, len(ts) - 1)] > eps)
+                if outside.size:
+                    left_ball, first = True, lo + int(outside[0]) + 1
+            # a candidate needs the samples on both sides; the last one waits for the next window
+            lo, hi = max(done - 1, first), end - 1
+            if lo < hi:
+                inner = dists[lo:hi]
+                minima = (inner <= dists[lo - 1:hi - 1]) & (inner <= dists[lo + 1:hi + 1])
+                for i in np.flatnonzero(minima) + lo:
+                    t_best, d_best = _golden_minimize(distance, float(ts[i - 1]), float(ts[i + 1]),
+                                                      eps * 1e-3)
+                    if d_best <= eps:
+                        if max_drift is not None:
+                            max_drift = max(max_drift,
+                                            _energy_drift(system, solution, initial_energy))
+                        return PeriodDetection(True, float(t_best), float(d_best),
+                                               d_best > eps / 10.0, None, max_drift)
+                    chunk_closest = min(chunk_closest, d_best)
+            done = end
+        if max_drift is not None:
+            max_drift = max(max_drift, _energy_drift(system, solution, initial_energy))
+        closest = min(closest, chunk_closest)
         if stop >= t_max:
             break
         # restart slightly before the chunk end so boundary minima fall in the
         # interior of the next scan window
         start = stop - 2.0 * SAMPLE_SPACING
-        state = trajectory.state_at(start)
+        state = solution(start).tolist()
     reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
     min_distance = closest if math.isfinite(closest) else None
     return PeriodDetection(False, None, min_distance, False, reason, max_drift)

@@ -209,6 +209,14 @@ def _integer(text, line=None) -> int:
         raise ParseError(f"bad integer literal {text!r}", line=line) from exc
 
 
+def _float(text, what, line=None) -> float:
+    """A rational literal rounded to a float; one beyond the float range is a ParseError."""
+    try:
+        return float(_fraction(text, line))
+    except OverflowError:
+        raise ParseError(f"{what} {text.strip()!r} is beyond the float range", line=line) from None
+
+
 def parse_matrix_literal(text, line=None) -> ExactMatrix:
     rows = _rows(text, "matrix", line)
     try:
@@ -365,8 +373,10 @@ class _RequestParser:
         entries = parse_nested_list(kwargs["energies"], line=line)
         if any(isinstance(x, list) for x in entries):
             raise ParseError("energies must be a flat list of rationals", line=line)
-        energies = [float(_fraction(x, line)) for x in entries]
+        energies = [_float(x, "energy", line) for x in entries]
         seeds = _integer(kwargs.get("seeds", "3"), line)
+        if seeds < 1:
+            raise ParseError(f"period seeds must be a positive integer, got {seeds}", line=line)
         unknown = set(kwargs) - {"energies", "seeds"}
         if unknown:
             raise ParseError(f"unknown period keys {sorted(unknown)}", line=line)

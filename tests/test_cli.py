@@ -233,8 +233,17 @@ def test_odd_dimensional_chart_exits_2(tmp_path, capsys, subcommand, text):
         ("altgen", "altgen e : matrix=A k=0 lam=1", "altgen k must be a positive integer, got 0"),
         ("period", "period s : H energies=[[1]] seeds=2",
          "energies must be a flat list of rationals"),
+        ("period", "period s : H energies=[1, 1e400] seeds=2",
+         "energy '1e400' is beyond the float range"),
+        ("period", f"period s : H energies=[-1{'0' * 400}] seeds=2",
+         f"energy '-1{'0' * 400}' is beyond the float range"),
+        ("period", "period s : H energies=[1] seeds=0",
+         "period seeds must be a positive integer, got 0"),
+        ("period", "period s : H energies=[1] seeds=-1",
+         "period seeds must be a positive integer, got -1"),
     ],
-    ids=["seeds", "energies", "k", "k-zero", "energies-nested"],
+    ids=["seeds", "energies", "k", "k-zero", "energies-nested", "energies-overflow",
+         "energies-long-integer", "seeds-zero", "seeds-negative"],
 )
 def test_bad_option_literal_is_a_located_parse_error(tmp_path, capsys, subcommand, request_line,
                                                      message):
@@ -370,6 +379,21 @@ def test_orbit_that_leaves_the_float_range_ends_its_seed(rtol):
                for r in entry["table"]["records"]]
     assert records and all(not r["converged"] and r["reason"] == "orbit left the float range"
                            for r in records)
+
+
+def test_orbit_that_blows_up_in_finite_time_ends_on_the_step_budget(tmp_path):
+    from geoham.period import MAX_STEP_ATTEMPTS
+
+    path = tmp_path / "blowup.sys"
+    path.write_text("chart q, p\nscalar H = (p^3 + q^2)^2\nperiod scan : H energies=[1] seeds=1\n")
+    result = run_subprocess("period", str(path), "--tmax", "2", timeout=5)
+    assert result.returncode == 0
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    [record] = [r for entry in json.loads(result.stdout)["results"]
+                for r in entry["table"]["records"]]
+    assert not record["converged"]
+    assert record["reason"].startswith(
+        f"integration failed: the budget of {MAX_STEP_ATTEMPTS} step attempts ran out at t = ")
 
 
 SWAP_ALTGEN = """chart q1, q2, p1, p2

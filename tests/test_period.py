@@ -164,7 +164,7 @@ def test_a_stage_that_raises_rejects_the_step_until_the_step_collapses():
         return [1.0, 0.0]
 
     with pytest.raises(IntegrationError, match="t = 0.49999"):
-        period._dopri(rhs, 0.0, 1.0, [0.0, 0.0], 1e-10, 1e-12)
+        list(period._dopri(rhs, 0.0, 1.0, [0.0, 0.0], 1e-10, 1e-12))
 
 
 def reference_dopri_step(rhs, t, y, k1, h, rtol, atol):
@@ -214,6 +214,22 @@ def test_generated_step_is_bit_identical_to_the_list_step(arguments):
     assert err == expected_err
 
 
+def test_dense_solution_grown_in_blocks_has_the_bits_of_one_built_at_once():
+    steps = list(period._dopri(quartic_system().rhs, 0.0, 20.0, [1.0, 0.0], 1e-10, 1e-12))
+    whole = DenseSolution(0.0, 2)
+    whole.extend(steps)
+    grown = DenseSolution(0.0, 2)
+    rng = random.Random(5)
+    done = 0
+    while done < len(steps):
+        size = rng.randint(1, 40)
+        grown.extend(steps[done:done + size])
+        done += size
+    assert grown.times == whole.times
+    for name in ("ts", "h", "y_old", "Q"):
+        assert getattr(grown, name).tobytes() == getattr(whole, name).tobytes()
+
+
 def test_constant_hamiltonian_reports_zero_drift():
     chart = Chart(["q", "p"])
     field = VectorField(chart, [chart.one(), chart.zero()])
@@ -250,17 +266,139 @@ def test_integrate_agrees_with_solve_ivp(make, x0, t_end):
     assert trajectory.solution(grid).shape == (len(x0), 1000)
 
 
+def solve_ivp_steps(rhs, t, t_end, y, rtol, atol):
+    """The accepted steps of scipy's RK45, the stepper that solve_ivp(method="RK45") drives,
+    in _dopri's form (t_new, y_old, stages)."""
+    from scipy.integrate import RK45
+
+    solver = RK45(rhs, t, np.asarray(y, dtype=float), t_end, rtol=rtol, atol=atol)
+    while solver.status == "running":
+        y_old = solver.y.tolist()
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(message)
+        yield solver.t, y_old, solver.K.tolist()
+
+
 def test_detect_period_agrees_with_solve_ivp(monkeypatch):
     cases = [(harmonic_system(), [0.3, 1.7]), (quartic_system(), [1.3, 0.4]),
              (torus_system(), [1.0, 0.0, 0.0, 0.0])]
     periods = [detect_period(system, x0).period for system, x0 in cases]
-    monkeypatch.setattr(period, "integrate", solve_ivp_integrate)
+    calls = []
+
+    def oracle(*arguments):
+        calls.append(arguments)
+        return solve_ivp_steps(*arguments)
+
+    monkeypatch.setattr(period, "_dopri", oracle)
     for (system, x0), found in zip(cases, periods):
         expected = detect_period(system, x0).period
         assert abs(found - expected) <= 1e-8 * expected
+    assert len(calls) >= len(cases)
 
 
 # -- detect_period ------------------------------------------------------------------
+
+def reference_detect_period(system, x0, eps=1e-6, t_max=1e3, rtol=1e-10, atol=1e-12):
+    """The return search that integrates each whole chunk, then scans its samples."""
+    x0 = np.asarray(x0, dtype=float)
+    max_drift = 0.0 if system.energy(x0) is not None else None
+    left_ball = False
+    closest = math.inf
+    chunk = period.INITIAL_CHUNK
+    start = 0.0
+    state = x0
+    while start < t_max:
+        stop = min(start + chunk, t_max)
+        chunk = min(2.0 * chunk, period.MAX_CHUNK)
+        trajectory = integrate(system, state, stop, rtol=rtol, atol=atol, t_start=start)
+        if max_drift is not None:
+            max_drift = max(max_drift, trajectory.max_energy_drift)
+        ts = np.linspace(start, stop, max(16, int(round((stop - start) / period.SAMPLE_SPACING))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dists = np.sqrt(np.sum((trajectory.solution(ts) - x0[:, None]) ** 2, axis=0))
+        if not np.isfinite(dists).all():
+            return period.PeriodDetection(False, None, closest if math.isfinite(closest) else None,
+                                          False, "orbit left the float range", None)
+        inner = dists[1:-1]
+        first = 0
+        if not left_ball:
+            outside = np.flatnonzero(inner > eps)
+            left_ball = outside.size > 0
+            first = outside[0] + 1 if left_ball else inner.size
+        minima = np.flatnonzero((inner <= dists[:-2]) & (inner <= dists[2:]))
+
+        def distance(t, sol=trajectory.solution):
+            return float(np.linalg.norm(sol(t) - x0))
+
+        for i in minima[minima >= first] + 1:
+            t_best, d_best = period._golden_minimize(distance, float(ts[i - 1]), float(ts[i + 1]),
+                                                     eps * 1e-3)
+            if d_best <= eps:
+                return period.PeriodDetection(True, float(t_best), float(d_best),
+                                              d_best > eps / 10.0, None, max_drift)
+            closest = min(closest, d_best)
+        if stop >= t_max:
+            break
+        start = stop - 2.0 * period.SAMPLE_SPACING
+        state = trajectory.state_at(start)
+    reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
+    return period.PeriodDetection(False, None, closest if math.isfinite(closest) else None, False,
+                                  reason, max_drift)
+
+
+def assert_same_search(found, expected):
+    """Equal results; the drift too unless a return ended the search."""
+    assert found.periodic == expected.periodic
+    assert found.period == expected.period
+    assert found.min_distance == expected.min_distance
+    assert found.ambiguous == expected.ambiguous
+    assert found.reason == expected.reason
+    if not expected.periodic:
+        assert found.max_energy_drift == expected.max_energy_drift
+
+
+def r4_isotropic_system():
+    chart = Chart(["q1", "q2", "p1", "p2"])
+    return FlowSystem(chart, hamiltonian=parse_expression("1/2*(p1^2+q1^2+p2^2+q2^2)", chart))
+
+
+SEARCH_SYSTEMS = {name: make() for name, make in [
+    ("harmonic", harmonic_system), ("quartic", quartic_system),
+    ("r4-isotropic", r4_isotropic_system), ("sqrt2-torus", torus_system)]}
+
+
+@st.composite
+def period_searches(draw):
+    """A system, a seed point, and a t_max that ends inside the first, second or third chunk."""
+    system = SEARCH_SYSTEMS[draw(st.sampled_from(sorted(SEARCH_SYSTEMS)))]
+    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=system.chart.dimension,
+                       max_size=system.chart.dimension))
+    chunk_start, chunk_end = draw(st.sampled_from([(0.5, 8.0), (8.0, 24.0), (24.0, 56.0)]))
+    return system, x0, draw(st.floats(chunk_start, chunk_end, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=60)
+@given(period_searches())
+def test_streaming_search_matches_the_chunk_then_scan_reference(search):
+    system, x0, t_max = search
+    assert_same_search(detect_period(system, x0, t_max=t_max),
+                       reference_detect_period(system, x0, t_max=t_max))
+
+
+@pytest.mark.parametrize("sample", [period.SEARCH_WINDOW - 1, period.SEARCH_WINDOW])
+def test_a_return_on_either_side_of_a_search_window_boundary_is_found(sample):
+    # the first chunk samples [0, INITIAL_CHUNK] at 1024 points; the period T = 2π/w is
+    # placed on the last sample of the first window, or the first of the second
+    period_time = sample * period.INITIAL_CHUNK / 1023
+    chart = Chart(["q", "p"], constants=["w"])
+    system = FlowSystem(chart, hamiltonian=parse_expression("w/2*(p^2+q^2)", chart),
+                        constant_values={"w": TWO_PI / period_time})
+    detection = detect_period(system, [1.0, 0.0])
+    assert detection.periodic
+    assert abs(detection.period - period_time) < 1e-6
+    assert_same_search(detection, reference_detect_period(system, [1.0, 0.0]))
+
 
 def test_detect_period_harmonic():
     system = harmonic_system()
