@@ -6,6 +6,8 @@ elimination, which keeps every row primitive by dividing out the gcd of
 its entries, serves ``rref``, ``rank``, ``kernel``, ``solve`` and
 ``inverse``.  The unique RREF is built at the end, one ``Fraction`` per
 entry.  ``det`` is Bareiss elimination (Math. Comp. 22, 1968).
+``pfaffian`` works over any commutative ring, so the same expansion serves
+integer matrices and matrices of polynomials.
 """
 
 from __future__ import annotations
@@ -123,3 +125,37 @@ def inverse(rows):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in m]
+
+
+def pfaffian(rows, zero=0, one=1):
+    """Pfaffian of an antisymmetric matrix, so that Pf(W)² = det W (Cayley 1849).
+
+    Expanded along the first remaining row, memoized on the set of
+    remaining indices; only the entries above the diagonal are read, and
+    only ``+``, ``-`` and ``*`` are used, so the entries may come from any
+    commutative ring whose ``zero`` and ``one`` are given.  An odd size
+    gives ``zero``.
+    """
+    n = len(rows)
+    if n % 2:
+        return zero
+    memo = {0: one}
+
+    def pf(mask):  # Pf of the rows and columns whose bits are set in mask
+        if mask in memo:
+            return memo[mask]
+        i = (mask & -mask).bit_length() - 1
+        row, rest = rows[i], mask ^ (1 << i)
+        total, sign = zero, True
+        for j in range(i + 1, n):
+            if rest >> j & 1:
+                if row[j] != zero:
+                    minor = pf(rest ^ (1 << j))
+                    if minor != zero:
+                        term = row[j] * minor
+                        total = total + term if sign else total - term
+                sign = not sign
+        memo[mask] = total
+        return total
+
+    return pf((1 << n) - 1)

@@ -108,7 +108,7 @@ def _run_factorize(system, options):
         entry = {"request": request.name, "kind": "factorize",
                  "odd_trace": odd_trace_test(matrix).to_dict()}
         try:
-            fact = hamiltonian_factorize(matrix, seed=options.seed)
+            fact = hamiltonian_factorize(matrix)
             entry["factorization"] = {
                 "lam": matrix_to_dict(fact.lam),
                 "ham": matrix_to_dict(fact.ham),
@@ -136,7 +136,7 @@ def _run_altgen(system, options):
             matrix = request.objects["matrix"]
             entry["pipeline"] = "matrix-symmetry"
             try:
-                fact = hamiltonian_factorize(matrix, seed=options.seed)
+                fact = hamiltonian_factorize(matrix)
             except NotDecomposableError as exc:
                 entry["error"] = exc.reason
                 failed = True

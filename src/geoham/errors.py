@@ -52,9 +52,9 @@ class ExpressionSizeError(GeohamError):
 class NotDecomposableError(GeohamError):
     """A linear system admits no Poisson-times-symmetric factorization.
 
-    ``reason`` distinguishes a provably empty solution space from an
-    exhausted search budget (invertibility may exist outside the budget
-    for non-generic inputs).
+    ``reason`` is "no skew solution" when no skew Ω solves ΩA + AᵀΩ = 0,
+    and "every skew solution is singular" when the Pfaffian of the
+    generic solution vanishes identically.  Either one is a proof.
     """
 
     def __init__(self, reason):

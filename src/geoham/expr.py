@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import or_
 from typing import Sequence, Union
 
@@ -275,8 +275,28 @@ class Polynomial:
         return _polynomial(self.chart, terms, self._den * den)
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        """The power, by repeated multiplication or by repeated squaring.
+
+        With t terms, self^k has at most C(k+t−1, t−1) terms.  By that
+        bound, multiplying the running result by the base pairs at most
+        t·C(e+t−1, t) terms in all, while squaring ends on a product of
+        self^a by self^b, a + b = e.  For a dense base the first is far
+        cheaper (Fateman 1974), and it is used when it is the cheaper one
+        and within twice ``MAX_TERM_PAIRS``; otherwise, as for a base of at
+        most one term or a square, the exponent is worked off by squaring.
+        """
         if exponent < 0:
             raise ValueError("negative exponent on a polynomial")
+        t = len(self._terms)
+        if exponent > 1 and t > 1:
+            top = 1 << exponent.bit_length() - 1
+            a = exponent - top or top // 2
+            squaring = comb(a + t - 1, t - 1) * comb(exponent - a + t - 1, t - 1)
+            if t * comb(exponent + t - 1, t) <= min(squaring, 2 * MAX_TERM_PAIRS):
+                result = self
+                for _ in range(exponent - 1):
+                    result = result * self
+                return result
         result, base, n = Polynomial.constant(self.chart, 1), self, exponent
         while n:
             if n & 1:

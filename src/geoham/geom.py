@@ -519,8 +519,9 @@ def _nondegenerate(form: DifferentialForm, seed, constants=None) -> tuple:
     """(det W ≢ 0, the sample points where det W = 0) for a 2-form's matrix W.
 
     One nonzero det W(p), from the sampler's values, proves det W ≢ 0
-    (Schwartz 1980, Zippel 1979, used one-sidedly); only when every
-    sample vanishes does ``symbolic_determinant`` decide.  A coefficient
+    (Schwartz 1980, Zippel 1979, used one-sidedly); W is antisymmetric,
+    so det W(p) = Pf(W(p))² and only the Pfaffian is taken.  Only when
+    every sample vanishes does ``symbolic_determinant`` decide.  A coefficient
     using a declared constant missing from ``constants`` has no value to
     sample with: then the exact determinant decides alone and no point is
     reported.
@@ -537,7 +538,7 @@ def _nondegenerate(form: DifferentialForm, seed, constants=None) -> tuple:
         W = [[0] * n for _ in range(n)]
         for (i, j), value in zip(keys, row):
             W[i][j], W[j][i] = value, -value
-        if _linalg.det(W) == 0:
+        if _linalg.pfaffian(_linalg.integer_matrix(W)[0]) == 0:
             degenerate.append(point)
     if len(degenerate) == len(points) and symbolic_determinant(two_form_matrix(form)).is_zero:
         return False, []

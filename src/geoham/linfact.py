@@ -3,10 +3,10 @@
 A linear system ẋ = Ax is Hamiltonian exactly when A = Λ·H with Λ an
 invertible skew matrix and H symmetric.  Writing Ω = Λ⁻¹ turns this
 into the linear constraint ΩA + AᵀΩ = 0 over skew matrices, which is
-solved exactly; an invertible kernel element is then located by a
-deterministic small-integer sweep followed by seeded random trials
-(the determinant is a polynomial on the kernel, so generic combinations
-work whenever any invertible element exists).
+solved exactly.  Over the kernel basis K_k, det(Σ c_k K_k) is the square
+of the Pfaffian P(c), of degree n/2 in each c_k, so an invertible element
+exists exactly when P ≢ 0, and then one is found by fixing the c_k one at
+a time (Alon, Combinatorial Nullstellensatz, 1999).
 
 Non-canonical linear symmetries T of A (T A T⁻¹ = A with T Λ Tᵀ ≠ Λ)
 transport a factorization to a genuinely different one:
@@ -18,8 +18,6 @@ the identity (the scale e^{λc} is carried symbolically as a rational
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -28,13 +26,9 @@ import numpy as np
 
 from . import _linalg
 from .errors import NotDecomposableError
+from .expr import Chart, Polynomial
 
 _FLOAT_TOL = 1e-12
-#: The invertible-element search: a sweep of integer combinations up to this
-#: max-norm, at most SWEEP_BUDGET of them, then RANDOM_TRIALS seeded draws.
-SWEEP_BOUND = 3
-SWEEP_BUDGET = 4000
-RANDOM_TRIALS = 1000
 
 
 class ExactMatrix:
@@ -281,58 +275,61 @@ def skew_constraint_kernel(A: ExactMatrix):
     return [_skew_from_coefficients(n, pairs, vec) for vec in kernel]
 
 
-def _sweep_coefficients(dim, bound):
-    """Deterministic small-integer sweep ordered by max-norm radius.
+def _generic_pfaffian(basis):
+    """Pf(Σ c_k K_k) over the skew matrices K_k, as exponent tuple -> coefficient."""
+    n, m = basis[0].n, len(basis)
+    if m == 1:  # Pf(c·K) = Pf(K)·c^(n/2)
+        value = _linalg.pfaffian(_linalg.integer_matrix(basis[0].entries)[0])
+        return {(n // 2,): value} if value else {}
+    chart = Chart([f"c{k}" for k in range(m)])
+    units = [tuple(int(k == l) for l in range(m)) for k in range(m)]
+    zero = Polynomial.constant(chart, 0)
+    rows = [[Polynomial(chart, {u: K.entries[i][j] for u, K in zip(units, basis)
+                                if K.entries[i][j]}) if j > i else zero
+             for j in range(n)] for i in range(n)]
+    return dict(_linalg.pfaffian(rows, zero, Polynomial.constant(chart, 1)).terms.items())
 
-    Skips the zero vector and sign-flipped duplicates (−c spans the
-    same line as c, so invertibility is unaffected).
-    """
-    for radius in range(1, bound + 1):
-        for combo in itertools.product(range(-radius, radius + 1), repeat=dim):
-            if max(abs(c) for c in combo) != radius:
-                continue
-            first = next((c for c in combo if c != 0), 0)
-            if first < 0:
-                continue
-            yield combo
+
+def _fix_first(terms, value):
+    """The terms left after substituting ``value`` for the first variable."""
+    fixed = {}
+    for exps, c in terms.items():
+        fixed[exps[1:]] = fixed.get(exps[1:], 0) + c * value ** exps[0]
+    return {exps: c for exps, c in fixed.items() if c}
 
 
-def hamiltonian_factorize(A: ExactMatrix, seed: int = 0) -> Factorization:
+def hamiltonian_factorize(A: ExactMatrix) -> Factorization:
     """Factor A = Λ·H with Λ skew invertible and H symmetric, exactly.
 
+    Λ⁻¹ = Σ c_k K_k over the kernel basis, with P = Pf(Σ c_k K_k) ≢ 0.
+    The leading zeros of c are the longest prefix of the basis whose
+    removal leaves P ≢ 0; the next c_k is 1, which keeps the homogeneous
+    P ≢ 0; each later c_k is the first of −1, 0, 1, −2, 2, … that keeps
+    P ≢ 0, and one of the first n/2 + 1 does, since P has degree at most
+    n/2 in c_k.  For n ≤ 4, where that degree is at most 2, c is the
+    first invertible combination of a lex-order sweep over {−1, 0, 1}^m
+    with the first nonzero entry positive.
+
     Raises :class:`NotDecomposableError` with reason "no skew solution"
-    when the constraint kernel is trivial, or "no invertible element
-    found within budget" when the kernel is non-trivial but the search
-    budget found no invertible combination (which can happen for
-    non-generic matrices even when one exists).
+    when the constraint kernel is trivial, and "every skew solution is
+    singular" when P ≡ 0; both are proofs that no factorization exists.
     """
     kernel = skew_constraint_kernel(A)
     if not kernel:
         raise NotDecomposableError("no skew solution")
-    dim = len(kernel)
-
-    def try_coefficients(coefficients):
-        omega = ExactMatrix.zeros(A.n)
-        for c, basis in zip(coefficients, kernel):
-            if c:
-                omega = omega + basis.scale_by(c)
-        if omega.is_zero or omega.determinant() == 0:
-            return None
-        lam = omega.inverse()
-        ham = omega @ A
-        return Factorization(lam=lam, ham=ham, source=A)
-
-    for combo in itertools.islice(_sweep_coefficients(dim, SWEEP_BOUND), SWEEP_BUDGET):
-        result = try_coefficients(combo)
-        if result is not None:
-            return result
-    rng = random.Random(seed)
-    for _ in range(RANDOM_TRIALS):
-        combo = [rng.randint(-9, 9) for _ in range(dim)]
-        result = try_coefficients(combo)
-        if result is not None:
-            return result
-    raise NotDecomposableError("no invertible element found within budget")
+    for z in reversed(range(len(kernel))):
+        terms = _generic_pfaffian(kernel[z:])
+        if terms:
+            break
+    else:
+        raise NotDecomposableError("every skew solution is singular")
+    omega, terms = kernel[z], _fix_first(terms, 1)
+    values = [-1, 0, 1] + [v for r in range(2, A.n // 2 + 1) for v in (-r, r)]
+    for K in kernel[z + 1:]:
+        c, terms = next((v, fixed) for v in values if (fixed := _fix_first(terms, v)))
+        if c:
+            omega = omega + K.scale_by(c)
+    return Factorization(lam=omega.inverse(), ham=omega @ A, source=A)
 
 
 def noncanonical_symmetry(A: ExactMatrix, k: int, lam) -> ExactMatrix | np.ndarray:

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import geoham
 from geoham import geom
 from geoham.cli import _build_argument_parser, run
 from geoham.expr import parse_expression
+from geoham.linfact import ExactMatrix, skew_constraint_kernel
 from geoham.sysfile import load_system_file, parse_form_literal, parse_vector_field_literal
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +94,41 @@ def test_factorize_oscillator_generator():
         [sum(lam[i][k] * ham[k][j] for k in range(n)) for j in range(n)] for i in range(n)
     ]
     assert product == [list(row) for row in source.entries]
+
+
+def factorize_input(path, rows):
+    chart = ", ".join(f"x{i}" for i in range(1, len(rows) + 1))
+    path.write_text(f"chart {chart}\nmatrix A = {rows}\nfactorize fac : A\n")
+    return str(path)
+
+
+def test_factorize_8x8_with_one_nonzero_entry_exits_0(tmp_path):
+    rows = [[1 if (i, j) == (0, 1) else 0 for j in range(8)] for i in range(8)]
+    code, report = run_json("factorize", factorize_input(tmp_path / "one.sys", rows))
+    assert code == 0
+    assert report["results"][0]["factorization"] is not None
+
+
+def test_factorize_singular_kernels_exit_2_with_a_proof(tmp_path):
+    """4×4 matrices over {−1, 0, 1} with a non-trivial skew kernel: each is decided
+    exactly and fast, and most have only singular kernel elements."""
+    rng = random.Random(7)
+    proved = 0
+    for index in range(40):
+        while True:
+            rows = [[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)]
+            if skew_constraint_kernel(ExactMatrix(rows)):
+                break
+        path = factorize_input(tmp_path / f"m{index}.sys", rows)
+        start = time.perf_counter()
+        code, report = run_json("factorize", path)
+        assert time.perf_counter() - start < 0.05
+        if code == 2:
+            assert report["results"][0]["error"] == "every skew solution is singular"
+            proved += 1
+        else:
+            assert code == 0
+    assert proved >= 20
 
 
 # -- altgen ---------------------------------------------------------------------

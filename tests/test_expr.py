@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -432,3 +433,30 @@ def test_exponent_limit_at_two_to_the_sixteen(split, other):
         Polynomial(chart, {(MAX_EXPONENT + 1, other, 0): Fraction(1)})
     with pytest.raises(ExponentLimitError):
         parse_expression(f"x1^{other}*x0^{MAX_EXPONENT + 1}", chart)
+
+
+def test_dense_power_within_the_budget_is_expanded():
+    """(a+b+c+d+1)^30 has C(34, 4) = 46,376 terms, each a multinomial coefficient;
+    repeated squaring would pair p^14 with p^16, 3,060 × 4,845 terms."""
+    chart = Chart(["a", "b", "c", "d"])
+    power = parse_expression("(a+b+c+d+1)^30", chart).num
+    assert len(power.terms) == 46_376
+    for exps, coeff in power.terms.items():
+        expected = math.factorial(30) // math.factorial(30 - sum(exps))
+        for e in exps:
+            expected //= math.factorial(e)
+        assert coeff == expected
+
+
+@ORACLE
+@given(st.data())
+def test_power_equals_the_repeated_product(data):
+    """Both ways of building a power give the very same polynomial."""
+    chart = Chart(["x0", "x1", "x2"])
+    base = data.draw(polynomials(chart, max_terms=12, max_exponent=2))
+    exponent = data.draw(st.integers(0, 8))
+    expected = Polynomial.constant(chart, 1)
+    for _ in range(exponent):
+        expected = expected * base
+    assert base ** exponent == expected
+    assert str(base ** exponent) == str(expected)

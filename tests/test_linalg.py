@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from geoham import _linalg  # noqa: E402
+from geoham.expr import Chart, Polynomial  # noqa: E402
 from geoham.linfact import ExactMatrix, skew_constraint_kernel  # noqa: E402
 
 CHECK = settings(max_examples=30)
@@ -147,3 +148,35 @@ def test_skew_constraint_kernel_matches_its_definition(A):
             omega[i][j], omega[j][i] = from_sympy(c), -from_sympy(c)
         expected.append(ExactMatrix(omega))
     assert skew_constraint_kernel(A) == expected
+
+
+@st.composite
+def antisymmetric_integer_matrices(draw):
+    """n = 0..8, entries in −4..4; about a third are sparse, which makes Pf = 0 common."""
+    n = draw(st.integers(0, 8))
+    values = st.integers(-4, 4) if draw(st.integers(0, 2)) else st.sampled_from([0, 0, 0, 1, -1])
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(values)
+            rows[j][i] = -rows[i][j]
+    return rows
+
+
+@settings(CHECK, max_examples=60)
+@given(antisymmetric_integer_matrices())
+def test_pfaffian_squares_to_the_determinant(rows):
+    assert _linalg.pfaffian(rows) ** 2 == _linalg.det(rows)
+
+
+def test_pfaffian_over_polynomials_is_the_generic_formula():
+    chart = Chart([f"a{i}{j}" for i in range(4) for j in range(i + 1, 4)])
+    a = {name: Polynomial.variable(chart, k) for k, name in enumerate(chart.variables)}
+    zero, one = Polynomial.constant(chart, 0), Polynomial.constant(chart, 1)
+    rows = [[zero] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            rows[i][j], rows[j][i] = a[f"a{i}{j}"], -a[f"a{i}{j}"]
+    pf = _linalg.pfaffian(rows, zero, one)
+    assert pf == a["a01"] * a["a23"] - a["a02"] * a["a13"] + a["a03"] * a["a12"]
+    assert _linalg.pfaffian([row[:3] for row in rows[:3]], zero, one) == zero

@@ -1,9 +1,14 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from geoham import catalog
 from geoham.errors import NotDecomposableError
@@ -214,6 +219,95 @@ def test_factorize_trace_violating_random():
             hamiltonian_factorize(A)
         rejected += 1
     assert rejected >= 5
+
+
+@pytest.mark.parametrize("A", [
+    ExactMatrix.zeros(6),
+    ExactMatrix.zeros(8),
+    ExactMatrix([[1 if (i, j) == (0, 1) else 0 for j in range(8)] for i in range(8)]),
+], ids=["zero-6", "zero-8", "one-entry-8"])
+def test_large_kernels_factor_fast(A):
+    start = time.perf_counter()
+    fact = hamiltonian_factorize(A)
+    assert time.perf_counter() - start < 0.1
+    assert isinstance(fact, Factorization) and fact.lam @ fact.ham == A
+
+
+def generic_determinant_is_zero(kernel, n):
+    """Whether sympy's det of Σ c_k K_k, over the polynomial ring in the c_k, is 0."""
+    c = sympy.symbols(f"c0:{len(kernel)}")
+    M = sympy.zeros(n, n)
+    for ck, K in zip(c, kernel):
+        M += ck * sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                for row in K.entries])
+    return DomainMatrix.from_Matrix(M).det() == 0
+
+
+@st.composite
+def small_system_matrices(draw, max_n):
+    """Small-integer A, mostly of even size: half skew·symmetric products (always
+    factorizable), half {−1, 0, 1} matrices (often with a kernel of singular
+    elements only)."""
+    n = draw(st.sampled_from([n for n in (2, 3, 4, 4, 4, 6, 6) if n <= max_n]))
+    cell = st.sampled_from([-1, 0, 0, 0, 1])
+    if draw(st.booleans()):
+        return ExactMatrix([[draw(st.integers(-1, 1)) for _ in range(n)] for _ in range(n)])
+    X = ExactMatrix([[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)])
+    Y = ExactMatrix([[draw(cell) for _ in range(n)] for _ in range(n)])
+    return (X - X.transpose()) @ (Y + Y.transpose())
+
+
+def factorization_or_none(A):
+    try:
+        return hamiltonian_factorize(A)
+    except NotDecomposableError:
+        return None
+
+
+@settings(max_examples=40)
+@given(small_system_matrices(6))
+def test_factorization_exists_exactly_when_the_generic_determinant_is_nonzero(A):
+    kernel = skew_constraint_kernel(A)
+    expected = bool(kernel) and not generic_determinant_is_zero(kernel, A.n)
+    assert (factorization_or_none(A) is not None) == expected
+
+
+def sweep_reference(kernel, n):
+    """Ω⁻¹ of the first radius-1 combination in the order of the former sweep:
+    itertools.product over {−1, 0, 1} with the first nonzero entry positive."""
+    for combo in itertools.product((-1, 0, 1), repeat=len(kernel)):
+        if next((c for c in combo if c), 0) <= 0:
+            continue
+        omega = ExactMatrix.zeros(n)
+        for c, K in zip(combo, kernel):
+            omega = omega + K.scale_by(c)
+        if omega.determinant() != 0:
+            return omega.inverse()
+    return None
+
+
+def test_singular_kernels_are_proved_not_decomposable():
+    """4×4 matrices over {−1, 0, 1} (random.Random(7)) with a non-trivial skew
+    kernel but no invertible radius-1 combination, which for n = 4 means none."""
+    rng = random.Random(7)
+    proved = 0
+    while proved < 12:
+        A = ExactMatrix([[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)])
+        kernel = skew_constraint_kernel(A)
+        if kernel and sweep_reference(kernel, 4) is None:
+            with pytest.raises(NotDecomposableError) as err:
+                hamiltonian_factorize(A)
+            assert err.value.reason == "every skew solution is singular"
+            proved += 1
+
+
+@settings(max_examples=60)
+@given(small_system_matrices(4))
+def test_lambda_is_the_first_radius_one_sweep_hit(A):
+    kernel = skew_constraint_kernel(A)
+    expected = sweep_reference(kernel, A.n) if kernel else None
+    fact = factorization_or_none(A)
+    assert (fact.lam if fact else None) == expected
 
 
 # -- non-canonical symmetries --------------------------------------------------------
