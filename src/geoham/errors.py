@@ -62,6 +62,11 @@ class NotDecomposableError(GeohamError):
         super().__init__(reason)
 
 
+class FloatSymmetryError(GeohamError, ArithmeticError):
+    """The float symmetry exp(λA^(2k)) of a linear system, or the description
+    it transports, is beyond the float range, singular, or fails its float check."""
+
+
 class IntegrationError(GeohamError):
     """Numerical flow integration failed (step underflow, pole, ...)."""
 

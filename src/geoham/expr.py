@@ -284,10 +284,18 @@ class Polynomial:
         cheaper (Fateman 1974), and it is used when it is the cheaper one
         and within twice ``MAX_TERM_PAIRS``; otherwise, as for a base of at
         most one term or a square, the exponent is worked off by squaring.
+
+        A variable's top exponent in self^k is k times its top exponent in
+        self, so the exponent limit is checked before any product.
         """
         if exponent < 0:
             raise ValueError("negative exponent on a polynomial")
-        t = len(self._terms)
+        terms, chart = self._terms, self.chart
+        if exponent > 1 and terms and (max(terms) >> chart._degree_shift) * exponent > MAX_EXPONENT:
+            e = exponent * max(max(chart._unpack(k)) for k in terms)
+            if e > MAX_EXPONENT:
+                raise ExponentLimitError(f"exponent {e} exceeds limit {MAX_EXPONENT}")
+        t = len(terms)
         if exponent > 1 and t > 1:
             top = 1 << exponent.bit_length() - 1
             a = exponent - top or top // 2

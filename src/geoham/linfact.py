@@ -13,19 +13,19 @@ transport a factorization to a genuinely different one:
 A = (TΛTᵀ)·((T⁻¹)ᵀHT⁻¹).  Exponentials e^{λA^{2k}} provide such
 symmetries; they are kept exact when A^{2k} is a rational multiple of
 the identity (the scale e^{λc} is carried symbolically as a rational
-``log_scale``) and computed in floating point otherwise.
+``log_scale``) and computed in floating point otherwise.  numpy is
+imported only by that float path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-import numpy as np
-
 from . import _linalg
-from .errors import NotDecomposableError
+from .errors import FloatSymmetryError, NotDecomposableError
 from .expr import Chart, Polynomial
 
 _FLOAT_TOL = 1e-12
@@ -68,7 +68,10 @@ class ExactMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def to_float(self) -> np.ndarray:
+    def to_float(self):
+        """The value as a float ndarray."""
+        import numpy as np
+
         scale = float(np.exp(float(self.log_scale)))
         return scale * np.array([[float(x) for x in row] for row in self.entries])
 
@@ -332,13 +335,81 @@ def hamiltonian_factorize(A: ExactMatrix) -> Factorization:
     return Factorization(lam=omega.inverse(), ham=omega @ A, source=A)
 
 
-def noncanonical_symmetry(A: ExactMatrix, k: int, lam) -> ExactMatrix | np.ndarray:
+# Higham (2005), Table 2.3: θ_m, the largest 1-norm at which the [m/m] Padé
+# approximant r_m is e^A to double precision, and r_m's coefficients b_0..b_m.
+_PADE = (
+    (1.495585217958292e-2, (120, 60, 12, 1)),
+    (2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
+    (9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)),
+    (2.097847961257068e0, (17643225600, 8821612800, 2075673600, 302702400, 30270240,
+                           2162160, 110880, 3960, 90, 1)),
+)
+_THETA_13 = 5.371920351148152e0
+_B13 = (64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+        129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920, 40840800,
+        960960, 16380, 182, 1)
+
+
+def _expm(M):
+    """e^M of a finite float matrix by scaling and squaring (Higham 2005, Algorithm 2.3).
+
+    r_m = (V − U)⁻¹(V + U), with U the odd and V the even part of the
+    numerator, for the least m ∈ {3, 5, 7, 9} with ‖M‖₁ ≤ θ_m; otherwise
+    r_13 of M/2^s, with the least s ≥ 0 that brings the norm within θ_13,
+    squared s times.
+    """
+    import numpy as np
+
+    norm = float(np.abs(M).sum(axis=0).max())
+    ident = np.eye(len(M))
+    M2 = M @ M
+    evens = [ident, M2]
+    for theta, b in _PADE:
+        if norm <= theta:
+            while 2 * len(evens) < len(b):
+                evens.append(evens[-1] @ M2)
+            U = M @ sum(c * P for c, P in zip(b[1::2], evens))
+            V = sum(c * P for c, P in zip(b[::2], evens))
+            return np.linalg.solve(V - U, V + U)
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    if s:
+        M = M * 2.0 ** -s
+        M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    b = _B13
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
+def _float_inverse(T, what):
+    """T⁻¹ of a float matrix; a non-finite or singular T raises FloatSymmetryError."""
+    import numpy as np
+
+    if not np.isfinite(T).all():
+        raise FloatSymmetryError(f"{what} is beyond the float range")
+    try:
+        return np.linalg.inv(T)
+    except np.linalg.LinAlgError:
+        raise FloatSymmetryError(f"{what} is singular in floating point") from None
+
+
+def noncanonical_symmetry(A: ExactMatrix, k: int, lam):
     """The symmetry T = exp(lam · A^(2k)) of the linear system A.
 
     Exact (an :class:`ExactMatrix` with symbolic exponential scale) when
     A^(2k) is a rational multiple of the identity; otherwise a float
-    matrix computed by scaling-and-squaring Padé, with the commutation
-    T A T⁻¹ = A verified to 1e-12.
+    ndarray, computed by scaling and squaring with Padé approximants
+    (Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIAM J. Matrix Anal. Appl. 26, 2005), with the commutation
+    T A T⁻¹ = A verified to 1e-12.  A float T that is not finite, is
+    singular or fails the check raises :class:`FloatSymmetryError`.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -351,14 +422,21 @@ def noncanonical_symmetry(A: ExactMatrix, k: int, lam) -> ExactMatrix | np.ndarr
     diagonal = B.entries[0][0]
     if B == ExactMatrix.identity(A.n).scale_by(diagonal):
         return ExactMatrix.scaled_identity(A.n, log_scale=lam * diagonal)
-    from scipy.linalg import expm
+    import numpy as np
 
-    Bf = B.to_float()
-    T = expm(float(lam) * Bf)
-    Af = A.to_float()
-    residual = np.max(np.abs(T @ Af @ np.linalg.inv(T) - Af))
-    if residual > _FLOAT_TOL * max(1.0, float(np.max(np.abs(Af)))):
-        raise ArithmeticError(f"float symmetry check failed, residual {residual:g}")
+    what = f"exp({lam} * A^{2 * k})"
+    with np.errstate(all="ignore"):
+        try:
+            exponent = float(lam) * B.to_float()
+        except OverflowError:  # lam or an entry of A^(2k) is beyond the float range
+            exponent = None
+        if exponent is None or not np.isfinite(exponent).all():
+            raise FloatSymmetryError(f"the exponent of {what} is beyond the float range")
+        T = _expm(exponent)
+        Af = A.to_float()
+        residual = float(np.max(np.abs(T @ Af @ _float_inverse(T, what) - Af)))
+    if not residual <= _FLOAT_TOL * max(1.0, float(np.max(np.abs(Af)))):
+        raise FloatSymmetryError(f"float symmetry check failed, residual {residual:g}")
     return T
 
 
@@ -369,10 +447,13 @@ def is_canonical(T, lam: ExactMatrix) -> bool:
     """
     if isinstance(T, ExactMatrix):
         return (T @ lam @ T.transpose()) == lam
+    import numpy as np
+
     T = np.asarray(T, dtype=float)
     lam_f = lam.to_float()
     scale = max(1.0, float(np.max(np.abs(lam_f))))
-    return bool(np.max(np.abs(T @ lam_f @ T.T - lam_f)) <= _FLOAT_TOL * scale)
+    with np.errstate(all="ignore"):
+        return bool(np.max(np.abs(T @ lam_f @ T.T - lam_f)) <= _FLOAT_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -404,7 +485,8 @@ def transform_description(fact: Factorization, T) -> TransformedDescription:
 
     Checks T A T⁻¹ = A (exactly, or to float tolerance), then returns
     Λ' = TΛTᵀ and H' = (T⁻¹)ᵀHT⁻¹ with the product re-verified against
-    the source.
+    the source.  On the float path, a T or a transported factor that is
+    not finite, or a singular T, raises :class:`FloatSymmetryError`.
     """
     A = fact.source
     if isinstance(T, ExactMatrix):
@@ -423,19 +505,24 @@ def transform_description(fact: Factorization, T) -> TransformedDescription:
             same_description=(new_lam == fact.lam),
             exact=True,
         )
+    import numpy as np
+
     T = np.asarray(T, dtype=float)
     Af = A.to_float()
     scale = max(1.0, float(np.max(np.abs(Af))))
-    T_inv = np.linalg.inv(T)
-    symmetry_residual = float(np.max(np.abs(T @ Af @ T_inv - Af)))
-    if symmetry_residual > _FLOAT_TOL * scale:
-        raise ValueError("T is not a symmetry of the source matrix (float check)")
-    lam_f = fact.lam.to_float()
-    ham_f = fact.ham.to_float()
-    new_lam = T @ lam_f @ T.T
-    new_ham = T_inv.T @ ham_f @ T_inv
-    product_scale = max(1.0, float(np.max(np.abs(new_lam))) * float(np.max(np.abs(new_ham))))
-    product_residual = float(np.max(np.abs(new_lam @ new_ham - Af))) / product_scale
+    with np.errstate(all="ignore"):
+        T_inv = _float_inverse(T, "the symmetry")
+        symmetry_residual = float(np.max(np.abs(T @ Af @ T_inv - Af)))
+        if not symmetry_residual <= _FLOAT_TOL * scale:
+            raise ValueError("T is not a symmetry of the source matrix (float check)")
+        lam_f = fact.lam.to_float()
+        ham_f = fact.ham.to_float()
+        new_lam = T @ lam_f @ T.T
+        new_ham = T_inv.T @ ham_f @ T_inv
+        if not (np.isfinite(new_lam).all() and np.isfinite(new_ham).all()):
+            raise FloatSymmetryError("the transported description is beyond the float range")
+        product_scale = max(1.0, float(np.max(np.abs(new_lam))) * float(np.max(np.abs(new_ham))))
+        product_residual = float(np.max(np.abs(new_lam @ new_ham - Af))) / product_scale
     same = bool(
         np.max(np.abs(new_lam - lam_f)) <= _FLOAT_TOL * max(1.0, float(np.max(np.abs(lam_f))))
     )

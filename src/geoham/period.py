@@ -16,6 +16,9 @@ The period of a flow is a diffeomorphism invariant, and on a connected
 family of periodic orbits the period depends on the energy alone; the
 obstruction test compares observed period sets of two systems and can
 certify, never refute, inequivalence.
+
+numpy is imported by the functions that compute with it, on first use,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
-
-import numpy as np
 
 from .errors import (CoefficientRangeError, DimensionError, IntegrationError, PoleError,
                      RootFindError)
@@ -168,6 +169,8 @@ class FlowSystem:
     def energy(self, state) -> float | None:
         if self._energy is None:
             return None
+        import numpy as np
+
         return float(self._energy(np.asarray(state, dtype=float)))
 
     def rhs(self, t, y):
@@ -176,15 +179,15 @@ class FlowSystem:
 
 # Dormand-Prince 5(4) (Hairer, Nørsett & Wanner, Solving ODEs I, §II.4-II.6) with
 # Shampine's quartic continuous extension: y(t_old + xh) = y_old + h·Σ_j (K·P)_j x^(j+1).
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 #: Step-size control: h is scaled by SAFETY·err^(−1/5), clamped to [MIN_FACTOR, MAX_FACTOR].
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
@@ -308,6 +311,8 @@ class DenseSolution:
     """
 
     def __init__(self, t_start, dimension):
+        import numpy as np
+
         self.times = [t_start]
         self._buffers = (np.array(self.times), np.empty(0), np.empty((0, dimension)),
                          np.empty((0, dimension, 4)))
@@ -319,6 +324,8 @@ class DenseSolution:
 
     def extend(self, steps):
         """Append accepted steps (t_new, y_old, stages) that continue from times[-1]."""
+        import numpy as np
+
         t_new, states, stages = zip(*steps)
         n, m = len(self.h), len(states)
         if n + m > len(self._buffers[1]):
@@ -340,6 +347,8 @@ class DenseSolution:
 
     def __call__(self, t):
         """The state (dim,) at a scalar t, or the states (dim, m) at m times."""
+        import numpy as np
+
         if isinstance(t, float):  # the same arithmetic on one row, found by bisection
             i = min(max(bisect_left(self.times, t) - 1, 0), len(self.h) - 1)
             h = self.h[i]
@@ -364,11 +373,15 @@ class Trajectory:
     max_energy_drift: float | None
 
     def state_at(self, t):
+        import numpy as np
+
         return np.asarray(self.solution(t), dtype=float)
 
 
 def _energy_drift(system: FlowSystem, solution: DenseSolution, initial_energy: float) -> float:
     """max |H(x(t)) − initial_energy| over max(64, 4·len(times)) samples of the span."""
+    import numpy as np
+
     times = solution.times
     # one call on the (dim × m) samples; a constant H returns one float
     samples = solution(np.linspace(times[0], times[-1], max(64, 4 * len(times))))
@@ -447,6 +460,8 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
     """
     if not (0 < eps < math.inf and 0 < t_max < math.inf):
         raise ValueError("eps and t_max must be positive and finite")
+    import numpy as np
+
     x0 = np.asarray(x0, dtype=float)
     max_drift = 0.0 if system.energy(x0) is not None else None
     left_ball = False
@@ -570,7 +585,6 @@ class PeriodTable:
         return rows
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # H may have a pole on the ray
 def find_energy_point(system: FlowSystem, energy: float, rng):
     """A phase-space point with H = energy, by scaling a random direction.
 
@@ -583,46 +597,50 @@ def find_energy_point(system: FlowSystem, energy: float, rng):
     ham = system._energy
     dim = system.chart.dimension
     partials = system.partials
-    for _ in range(DIRECTION_TRIES):
-        direction = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
-        norm = float(np.linalg.norm(direction))
-        if norm == 0.0:
-            continue
-        direction /= norm
+    import numpy as np
 
-        def g(s):
-            return float(ham(s * direction)) - energy
+    # H may have a pole on the ray
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(DIRECTION_TRIES):
+            direction = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
+            norm = float(np.linalg.norm(direction))
+            if norm == 0.0:
+                continue
+            direction /= norm
 
-        if g(0.0) > 0.0:
-            continue
-        s_hi = 1.0
-        doubled = 0
-        while g(s_hi) < 0.0 and doubled < 60:
-            s_hi *= 2.0
-            doubled += 1
-        if g(s_hi) < 0.0:
-            continue
-        s_lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (s_lo + s_hi)
-            if g(mid) < 0.0:
-                s_lo = mid
-            else:
-                s_hi = mid
-        s = 0.5 * (s_lo + s_hi)
-        for _ in range(4):
+            def g(s):
+                return float(ham(s * direction)) - energy
+
+            if g(0.0) > 0.0:
+                continue
+            s_hi = 1.0
+            doubled = 0
+            while g(s_hi) < 0.0 and doubled < 60:
+                s_hi *= 2.0
+                doubled += 1
+            if g(s_hi) < 0.0:
+                continue
+            s_lo = 0.0
+            for _ in range(80):
+                mid = 0.5 * (s_lo + s_hi)
+                if g(mid) < 0.0:
+                    s_lo = mid
+                else:
+                    s_hi = mid
+            s = 0.5 * (s_lo + s_hi)
+            for _ in range(4):
+                point = s * direction
+                slope = float(sum(p(point) * d for p, d in zip(partials, direction)))
+                if slope == 0.0:
+                    break
+                step = g(s) / slope
+                if not math.isfinite(step):
+                    break
+                s -= step
             point = s * direction
-            slope = float(sum(p(point) * d for p, d in zip(partials, direction)))
-            if slope == 0.0:
-                break
-            step = g(s) / slope
-            if not math.isfinite(step):
-                break
-            s -= step
-        point = s * direction
-        if abs(float(ham(point)) - energy) <= 1e-9 * max(1.0, abs(energy)):
-            return point
-    raise RootFindError(f"no phase-space point found with energy {energy}")
+            if abs(float(ham(point)) - energy) <= 1e-9 * max(1.0, abs(energy)):
+                return point
+        raise RootFindError(f"no phase-space point found with energy {energy}")
 
 
 def period_energy_scan(system: FlowSystem, energies, seeds_per_energy: int, seed: int = 0,

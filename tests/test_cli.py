@@ -340,8 +340,10 @@ def test_constant_beyond_the_float_range_exits_2(tmp_path, capsys):
     [("q, p", "q^70000", "exponent 70000 exceeds limit 65536"),
      ("q, p", "q^65536*q^65536", "exponent 131072 exceeds limit 65536"),
      ("a, b, c, d", "(a+b+c+d+1)^60",
-      "a product of 1820 by 4845 terms exceeds the budget of 1000000 term pairs")],
-    ids=["power", "product", "size-budget"],
+      "a product of 1820 by 4845 terms exceeds the budget of 1000000 term pairs"),
+     ("q, p", "(q^3)^32769", "exponent 98307 exceeds limit 65536"),
+     ("q, p", "(q^2*p + 1)^40000", "exponent 80000 exceeds limit 65536")],
+    ids=["power", "product", "size-budget", "power-of-power", "dense-power"],
 )
 def test_too_large_expression_exits_2_within_a_second(tmp_path, capsys, chart, expression,
                                                       message):
@@ -350,6 +352,29 @@ def test_too_large_expression_exits_2_within_a_second(tmp_path, capsys, chart, e
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert err == f"analysis error: {message} at line 2\n"
+
+
+@pytest.mark.parametrize(
+    "lam,cause",
+    [(-400, "exp(-400 * A^2) is beyond the float range"),
+     (200, "the transported description is beyond the float range"),
+     (2000, "exp(2000 * A^2) is singular in floating point")],
+)
+def test_float_symmetry_beyond_the_float_range_exits_2(tmp_path, lam, cause):
+    """A² = diag(−1, −2, −1, −2), so exp(λA²) holds e^{−λ} and e^{−2λ}: at λ = −400 it
+    overflows, at 2000 it underflows to a singular matrix, and at 200 it is finite but
+    the transported Hamiltonian factor holds e^{800}."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(geoham.__file__)))
+    path = tmp_path / "split.sys"
+    path.write_text("chart q1, q2, p1, p2\n"
+                    "matrix A = [[0,0,1,0],[0,0,0,2],[-1,0,0,0],[0,-1,0,0]]\n"
+                    f"altgen exp : matrix=A k=1 lam={lam}\n")
+    argv = [sys.executable, "-m", "geoham.cli", "altgen", str(path)]
+    result = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                            text=True, timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"analysis error: {cause}\n"
 
 
 def test_period_scan_survives_a_seed_that_hits_a_pole(tmp_path):

@@ -435,6 +435,15 @@ def test_exponent_limit_at_two_to_the_sixteen(split, other):
         parse_expression(f"x1^{other}*x0^{MAX_EXPONENT + 1}", chart)
 
 
+@pytest.mark.parametrize("text,exponent,top", [("q^3", 32769, 98307), ("q^2*p + 1", 40000, 80000),
+                                               ("q*p^7 - p", 9363, 65541)])
+def test_power_checks_the_exponent_limit_before_multiplying(monkeypatch, text, exponent, top):
+    base = parse_expression(text, Chart(["q", "p"])).num
+    monkeypatch.setattr(Polynomial, "__mul__", lambda *args: pytest.fail("multiplied"))
+    with pytest.raises(ExponentLimitError, match=f"^exponent {top} exceeds limit {MAX_EXPONENT}$"):
+        base ** exponent
+
+
 def test_dense_power_within_the_budget_is_expanded():
     """(a+b+c+d+1)^30 has C(34, 4) = 46,376 terms, each a multinomial coefficient;
     repeated squaring would pair p^14 with p^16, 3,060 × 4,845 terms."""

@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from geoham import catalog
-from geoham.errors import NotDecomposableError
+from geoham.errors import FloatSymmetryError, NotDecomposableError
 from geoham.linfact import (
+    _PADE,
+    _THETA_13,
     ExactMatrix,
     Factorization,
+    _expm,
     hamiltonian_factorize,
     is_canonical,
     noncanonical_symmetry,
@@ -350,6 +353,63 @@ def test_symmetry_generic_float_matches_power_series():
         series = series + term
         term = term @ Bf / m
     assert np.max(np.abs(T - series)) < 1e-9
+
+
+# 1-norms just below and just above each θ_m, so every Padé degree and each switch
+# between them is taken; the geometric mean of each pair of neighbouring θ_m, where a
+# degree taken past its θ_m would show; and norms up to 30 · θ_13, scaled by up to 2^5.
+THETAS = [theta for theta, _ in _PADE] + [_THETA_13]
+EXPM_NORMS = [theta * f for theta in THETAS for f in (0.999, 1.001)]
+EXPM_NORMS += [math.sqrt(a * b) for a, b in zip(THETAS, THETAS[1:])]
+EXPM_NORMS += [_THETA_13 * f for f in (1.9, 2.1, 7.5, 30.0)]
+
+
+@pytest.mark.parametrize("norm", EXPM_NORMS, ids=lambda norm: f"{norm:.4g}")
+@settings(max_examples=25)
+@given(n=st.integers(1, 8), entries=st.lists(st.integers(-100, 100), min_size=64, max_size=64))
+def test_expm_matches_scipy(norm, n, entries):
+    from scipy.linalg import expm
+
+    M = np.array(entries[:n * n], dtype=float).reshape(n, n)
+    size = np.abs(M).sum(axis=0).max()
+    if size == 0.0:
+        M, size = np.eye(n), 1.0
+    M *= norm / size
+    expected = expm(M)
+    # both sides round off, scipy by up to 4e-13 of the largest entry near θ_13
+    tolerance = 1e-12 * max(1.0, norm)
+    assert np.max(np.abs(_expm(M) - expected)) <= tolerance * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("norm", EXPM_NORMS, ids=lambda norm: f"{norm:.4g}")
+def test_expm_is_accurate_to_a_few_ulps_of_the_norm(norm):
+    """Against a 40-digit exponential: ±norm, where a Padé degree taken past its θ_m
+    shows its truncation error, and seeded integer matrices, one of them triangular."""
+    import mpmath
+
+    rng = random.Random(round(norm * 1000))
+    matrices = [np.array([[norm]]), np.array([[-norm]])]
+    for n, triangular in ((2, True), (3, False), (6, False)):
+        M = np.array([[float(rng.randint(-9, 9)) if j >= i or not triangular else 0.0
+                       for j in range(n)] for i in range(n)])
+        matrices.append(M * (norm / np.abs(M).sum(axis=0).max()))
+    for M in matrices:
+        with mpmath.workdps(40):
+            exact = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=float)
+        error = np.max(np.abs(_expm(M) - exact)) / np.max(np.abs(exact))
+        # r_13 of a positive scalar near θ_13 is off by about 100 ulps: q_13(x) cancels
+        assert error <= 1e-14 * max(1.0, norm), M
+
+
+SPLIT_OSCILLATOR = ExactMatrix([[0, 0, 1, 0], [0, 0, 0, 2], [-1, 0, 0, 0], [0, -1, 0, 0]])
+
+
+@pytest.mark.parametrize("lam", [10 ** 308, 10 ** 400], ids=["product", "lam"])
+def test_float_symmetry_exponent_beyond_the_float_range_raises(lam):
+    """A² = diag(−1, −2, −1, −2): λA² overflows, or λ itself is beyond the float range."""
+    with pytest.raises(FloatSymmetryError) as caught:
+        noncanonical_symmetry(SPLIT_OSCILLATOR, k=1, lam=lam)
+    assert str(caught.value) == f"the exponent of exp({lam} * A^2) is beyond the float range"
 
 
 # -- transform_description --------------------------------------------------------------
