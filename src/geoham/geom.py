@@ -3,9 +3,10 @@
 
 Coefficients are exact rational functions, so every identity here
 (d² = 0, Cartan's formula, bracket relations, Hamiltonian-description
-residuals) is decided exactly, not numerically.  A nonzero determinant of a 2-form's
-coefficient matrix at one seeded sample point proves it nondegenerate; only when
-every sample vanishes is the determinant expanded symbolically.
+residuals) is decided exactly, not numerically.  A nonzero Pfaffian of a 2-form's
+coefficient matrix W at one seeded sample point proves it nondegenerate; only when
+every sample vanishes is the Pfaffian of D·W expanded symbolically, with D the
+product of W's denominators.
 
 Every contraction (X(f), T(X), S∘T, d_T f, i_T a, Σ νʲXⱼ) is one ``_dot``: the
 products of the nonzero pairs, added left to right.  Quotients are never
@@ -16,9 +17,9 @@ with J the Jacobian of X, built once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations
 from operator import mul
 from typing import Sequence
@@ -453,45 +454,26 @@ def two_form_matrix(a: DifferentialForm):
     return [[a.coefficient((i, j)) for j in range(n)] for i in range(n)]
 
 
-def symbolic_determinant(rows) -> RationalFunction:
-    """Exact determinant det(P) / Π m_i of a matrix of rational functions.
+def symbolic_determinant(form: DifferentialForm) -> Polynomial:
+    """Pf(D·W) for a 2-form's coefficient matrix W; it vanishes iff det W does.
 
-    Row i times m_i, the product of its distinct non-constant denominators,
-    is row i of the polynomial matrix P; det(P) is a Laplace expansion
-    memoized over column subsets, for the small (dim ≤ 8) matrices here.
+    D, the product of the coefficients' distinct non-constant denominators,
+    makes D·W a matrix of polynomials, and det(D·W) = Dⁿ det W = Pf(D·W)²
+    (Cayley 1849).  The Pfaffian is ``_linalg.pfaffian`` over ``Polynomial``,
+    from the coefficients above the diagonal alone.
     """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    chart = rows[0][0].chart
+    if form.degree != 2:
+        raise ValueError("expected a 2-form")
+    chart, n = form.chart, form.chart.dimension
     one, zero = Polynomial.constant(chart, 1), Polynomial.constant(chart, 0)
-    P, denominator = [], one
-    for row in rows:
-        dens = []
-        for entry in row:
-            if not entry.den.is_constant and entry.den not in dens:
-                dens.append(entry.den)
-        P.append([reduce(mul, (d for d in dens if d != e.den), e.num) for e in row])
-        denominator = reduce(mul, dens, denominator)
-
-    @cache
-    def minor(mask):  # det of the rows from popcount(mask) on and the columns not in mask
-        row = mask.bit_count()
-        if row == n:
-            return one
-        total, sign = zero, 1
-        for col in range(n):
-            bit = 1 << col
-            if mask & bit:
-                continue
-            entry = P[row][col]
-            if not entry.is_zero:
-                term = entry * minor(mask | bit)
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        return total
-
-    return RationalFunction(minor(0), denominator)
+    dens = []
+    for coeff in form.coeffs.values():
+        if not coeff.den.is_constant and coeff.den not in dens:
+            dens.append(coeff.den)
+    rows = [[zero] * n for _ in range(n)]
+    for (i, j), coeff in form.coeffs.items():
+        rows[i][j] = reduce(mul, (d for d in dens if d != coeff.den), coeff.num)
+    return _linalg.pfaffian(rows, zero, one)
 
 
 def sample_points(chart: Chart, probes, seed=42, constants=None):
@@ -521,10 +503,11 @@ def _nondegenerate(form: DifferentialForm, seed, constants=None) -> tuple:
     One nonzero det W(p), from the sampler's values, proves det W ≢ 0
     (Schwartz 1980, Zippel 1979, used one-sidedly); W is antisymmetric,
     so det W(p) = Pf(W(p))² and only the Pfaffian is taken.  Only when
-    every sample vanishes does ``symbolic_determinant`` decide.  A coefficient
-    using a declared constant missing from ``constants`` has no value to
-    sample with: then the exact determinant decides alone and no point is
-    reported.
+    every sample vanishes does ``symbolic_determinant`` decide, by the same
+    expansion over polynomials: the Pfaffian of D·W, with D the product of
+    W's denominators.  A coefficient using a declared constant missing from
+    ``constants`` has no value to sample with: then the exact expansion
+    decides alone and no point is reported.
     """
     n = form.chart.dimension
     keys = list(form.coeffs)
@@ -537,10 +520,10 @@ def _nondegenerate(form: DifferentialForm, seed, constants=None) -> tuple:
     for point, row in zip(points, values):
         W = [[0] * n for _ in range(n)]
         for (i, j), value in zip(keys, row):
-            W[i][j], W[j][i] = value, -value
+            W[i][j] = value
         if _linalg.pfaffian(_linalg.integer_matrix(W)[0]) == 0:
             degenerate.append(point)
-    if len(degenerate) == len(points) and symbolic_determinant(two_form_matrix(form)).is_zero:
+    if len(degenerate) == len(points) and symbolic_determinant(form).is_zero:
         return False, []
     return True, degenerate
 
@@ -616,7 +599,6 @@ class NormalFormReport:
     coefficients_match: bool | None
     solved_coefficients: list
     completeness_assumed: bool = True
-    sample_points: list = dataclass_field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -725,7 +707,6 @@ def check_normal_form(
         fields_preserve_integrals=fields_preserve,
         coefficients_match=coefficients_match,
         solved_coefficients=solved,
-        sample_points=points,
     )
 
 

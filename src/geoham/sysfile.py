@@ -127,6 +127,9 @@ def parse_form_literal(text, chart: Chart, line=None) -> DifferentialForm:
         degree = int(head[: -len("-form")])
     except ValueError:
         raise ParseError(f"bad form degree in {head!r}", line=line) from None
+    if not 0 <= degree <= chart.dimension:
+        raise ParseError(f"degree {degree} out of range for dimension {chart.dimension}",
+                         line=line)
     body = body.strip()
     if body == "0" or not body:
         return DifferentialForm.zero(chart, degree)
@@ -317,9 +320,16 @@ class _RequestParser:
             raise ParseError("verify needs: <field> <2-form> <scalar>", line=line)
         return {
             "field": self.system.object(args[0], ("vectorfield",), line),
-            "form": self.system.object(args[1], ("form",), line),
+            "form": self._form(args[1], 2, line),
             "hamiltonian": self.system.object(args[2], ("scalar",), line),
         }, {}
+
+    def _form(self, name, degree, line):
+        form = self.system.object(name, ("form",), line)
+        if form.degree != degree:
+            raise ParseError(f"form {name!r} has degree {form.degree}, expected {degree}",
+                             line=line)
+        return form
 
     def _factorize(self, rest, line):
         args, kwargs = self._split_args(rest, line)
@@ -402,6 +412,9 @@ class _RequestParser:
             self.system.object(n, ("vectorfield",), line)
             for n in parse_nested_list(kwargs["fields"], line=line)
         ]
+        if not integrals or len(integrals) != len(fields):
+            raise ParseError("normalform needs non-empty integral and field lists of equal length",
+                             line=line)
         objects = {
             "field": self.system.object(args[0], ("vectorfield",), line),
             "integrals": integrals,
@@ -412,6 +425,9 @@ class _RequestParser:
                 parse_expression(x, self.system.chart, line=line)
                 for x in parse_nested_list(kwargs["nu"], line=line)
             ]
+            if len(objects["nu"]) != len(fields):
+                raise ParseError(f"normalform nu needs one coefficient per field, "
+                                 f"got {len(objects['nu'])} for {len(fields)}", line=line)
         return objects, {}
 
     def _validate(self, rest, line):
@@ -429,7 +445,7 @@ class _RequestParser:
             }
         elif subkind == "cotangent" and len(args) == 3:
             objects = {
-                "one_form": self.system.object(args[1], ("form",), line),
+                "one_form": self._form(args[1], 1, line),
                 "delta": self.system.object(args[2], ("vectorfield",), line),
             }
         elif subkind == "linear" and len(args) == 2:

@@ -1,4 +1,6 @@
+import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import pytest
 import geoham
 from geoham import geom
 from geoham.cli import _build_argument_parser, run
-from geoham.expr import parse_expression
+from geoham.expr import Chart, parse_expression
 from geoham.linfact import ExactMatrix, skew_constraint_kernel
 from geoham.sysfile import load_system_file, parse_form_literal, parse_vector_field_literal
 
@@ -114,6 +116,7 @@ def test_factorize_singular_kernels_exit_2_with_a_proof(tmp_path):
     exactly and fast, and most have only singular kernel elements."""
     rng = random.Random(7)
     proved = 0
+    gc.collect()  # a full collection of the test process's heap is not the runs' cost
     for index in range(40):
         while True:
             rows = [[rng.randint(-1, 1) for _ in range(4)] for _ in range(4)]
@@ -317,6 +320,30 @@ def test_malformed_literal_is_a_located_parse_error(tmp_path, capsys, body, mess
     code, err = run_text(tmp_path, capsys, "verify", f"chart q, p\n{body}\n")
     assert code == 1
     assert err == f"parse error: {message} at line {body.count(chr(10)) + 2}\n"
+
+
+@pytest.mark.parametrize(
+    "subcommand,body,message",
+    [("verify", "form w = 5-form: 0", "degree 5 out of range for dimension 2"),
+     ("verify", "form w = -1-form: 0", "degree -1 out of range for dimension 2"),
+     ("verify", "form a = 1-form: (1) dq\nverify v : G a H", "form 'a' has degree 1, expected 2"),
+     ("validate", "form w = 2-form: (1) dq^dp\nvalidate c : cotangent w G",
+      "form 'w' has degree 2, expected 1"),
+     ("normalform", "normalform n : G integrals=[H, H] fields=[G]",
+      "normalform needs non-empty integral and field lists of equal length"),
+     ("normalform", "normalform n : G integrals=[] fields=[]",
+      "normalform needs non-empty integral and field lists of equal length"),
+     ("normalform", "normalform n : G integrals=[H] fields=[G] nu=[1, 2]",
+      "normalform nu needs one coefficient per field, got 2 for 1")],
+    ids=["degree-too-high", "degree-negative", "verify-1-form", "cotangent-2-form",
+         "normalform-unequal", "normalform-empty", "normalform-nu"],
+)
+def test_form_degree_and_list_length_are_located_parse_errors(tmp_path, capsys, subcommand,
+                                                              body, message):
+    text = f"chart q, p\nscalar H = p^2 + q^2\nvectorfield G = [p, -q]\n{body}\n"
+    code, err = run_text(tmp_path, capsys, subcommand, text)
+    assert code == 1
+    assert err == f"parse error: {message} at line {body.count(chr(10)) + 4}\n"
 
 
 def test_constant_that_zeroes_a_denominator_exits_2(tmp_path, capsys):
@@ -560,6 +587,63 @@ def test_form_with_a_declared_constant_is_certified_by_a_sample_point(tmp_path, 
     path.write_text(CONSTANT_FORM.format(k=2))
     code, report = run_json(subcommand, str(path))
     assert code == 0 and report["results"][0][verdict] is True
+
+
+def rank_four_form(n):
+    """ω = α∧β + γ∧δ on Rⁿ, degenerate: the 1-form with shift s = 1..4 has
+    x_(i+s) + ((i+s) mod 3) − 1 on dx_i, indices mod n."""
+    chart = Chart([f"x{i}" for i in range(n)])
+    alpha, beta, gamma, delta = (
+        geom.DifferentialForm(chart, 1, {(i,): parse_expression(
+            f"x{(i + s) % n} + {(i + s) % 3 - 1}", chart) for i in range(n)})
+        for s in range(1, 5))
+    return geom.wedge(alpha, beta) + geom.wedge(gamma, delta)
+
+
+def timed_fallback(monkeypatch):
+    """Wrap geom.symbolic_determinant; the returned list gets each call's seconds."""
+    seconds, determinant = [], geom.symbolic_determinant
+
+    def timed(form):
+        gc.collect()  # a full collection of the test process's heap is not the fallback's cost
+        start = time.perf_counter()
+        result = determinant(form)
+        seconds.append(time.perf_counter() - start)
+        return result
+
+    monkeypatch.setattr(geom, "symbolic_determinant", timed)
+    return seconds
+
+
+@pytest.mark.parametrize("n,limit", [(6, 0.15), (8, 0.5)], ids=["R6", "R8"])
+def test_degenerate_form_is_decided_by_one_fast_fallback(tmp_path, monkeypatch, n, limit):
+    seconds = timed_fallback(monkeypatch)
+    path = tmp_path / "input.sys"
+    path.write_text(f"chart {', '.join(f'x{i}' for i in range(n))}\n"
+                    f"form w = {rank_four_form(n)}\nvectorfield G = [{', '.join('0' * n)}]\n"
+                    "scalar H = 0\nverify v : G w H\n")
+    code, report = run_json("verify", str(path))
+    assert code == 0 and report["results"][0]["nondegenerate"] is False
+    assert len(seconds) == 1
+    assert seconds[0] < limit, f"the fallback took {seconds[0]:.3f} s on R^{n}"
+
+
+def test_fallback_decides_a_pfaffian_of_thousands_of_terms(tmp_path, monkeypatch):
+    # Every sample vanishes at k = 0, but over the polynomials the Pfaffian has
+    # 3,704 terms: its square alone would exceed the term-pair budget.
+    seconds = timed_fallback(monkeypatch)
+    n = 6
+    entries = " + ".join(
+        f"(k*((x{i} + x{j} + k*x{(i + j) % n} + x{(j + 1) % n} + {i - j})^2 + k*x{(i + 3) % n}))"
+        f" dx{i}^dx{j}" for i, j in itertools.combinations(range(n), 2))
+    path = tmp_path / "input.sys"
+    path.write_text(f"chart {', '.join(f'x{i}' for i in range(n))}\nconstants k = 0\n"
+                    f"form w = 2-form: {entries}\nvectorfield G = [{', '.join('0' * n)}]\n"
+                    "scalar H = 0\nverify v : G w H\n")
+    code, report = run_json("verify", str(path))
+    result = report["results"][0]
+    assert code == 0 and result["nondegenerate"] is True
+    assert len(seconds) == 1 and len(result["degenerate_samples"]) == geom.SAMPLE_COUNT
 
 
 def test_samples_use_the_declared_constant_values(tmp_path):

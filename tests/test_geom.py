@@ -1,5 +1,7 @@
 import collections
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -344,7 +346,7 @@ def test_hamiltonian_description_perturbed_fails():
 
 def test_twisted_two_form_of_golden_data_is_degenerate():
     w = twisted_two_form(OSC.swap_tensor, OSC.quartic_invariant)
-    assert symbolic_determinant(two_form_matrix(w)).is_zero
+    assert symbolic_determinant(w).is_zero
 
 
 # -- nondegeneracy: the sample-point certificate and the exact fallback ---------
@@ -356,13 +358,22 @@ def to_sympy(f):
     return sympy.sympify(str(f).replace("^", "**"), locals=dict(zip(R4.names, SYMBOLS)))
 
 
-small_polynomials = st.builds(
-    lambda c, e, d: RationalFunction(Polynomial(R4, {e: c, (0, 0, 0, 0): d})),
-    st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * 4), st.integers(-2, 2))
-small_coefficients = st.one_of(
-    st.just(0), st.integers(-3, 3).map(Fraction), small_polynomials,
-    st.builds(lambda a, b: a / (b * b + RationalFunction.from_scalar(R4, 1)),
-              small_polynomials, small_polynomials))
+def polynomials_on(chart):
+    n = chart.dimension
+    return st.builds(lambda c, e, d: RationalFunction(Polynomial(chart, {e: c, (0,) * n: d})),
+                     st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * n), st.integers(-2, 2))
+
+
+def coefficients_on(chart):
+    polynomials = polynomials_on(chart)
+    return st.one_of(
+        st.just(0), st.integers(-3, 3).map(Fraction), polynomials,
+        st.builds(lambda a, b: a / (b * b + RationalFunction.from_scalar(chart, 1)),
+                  polynomials, polynomials))
+
+
+small_polynomials = polynomials_on(R4)
+small_coefficients = coefficients_on(R4)
 
 
 @st.composite
@@ -400,7 +411,7 @@ def test_nondegeneracy_matches_the_sympy_determinant(form):
 def test_identically_degenerate_form_is_decided_by_the_fallback(monkeypatch):
     calls = []
     monkeypatch.setattr(geom, "symbolic_determinant",
-                        lambda rows: calls.append(rows) or symbolic_determinant(rows))
+                        lambda form: calls.append(form) or symbolic_determinant(form))
     form = DifferentialForm(R4, 2, {(0, 1): rf("q1/(1 + p1^2)"), (0, 2): rf("p2")})
     report = describe(form)
     assert len(calls) == 1
@@ -425,14 +436,25 @@ def test_samples_on_the_degeneracy_locus_are_all_listed(monkeypatch):
     assert report.nondegenerate and report.degenerate_samples == on_locus[:2]
 
 
+R3 = Chart(R4.names[:3])
+r3_two_forms = st.lists(coefficients_on(R3), min_size=3, max_size=3).map(
+    lambda coeffs: DifferentialForm(R3, 2, dict(zip(itertools.combinations(range(3), 2), coeffs))))
+
+
 @settings(max_examples=20)
-@given(st.integers(1, 3).flatmap(lambda n: st.lists(
-    st.lists(small_coefficients, min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_symbolic_determinant_matches_sympy(rows):
-    rows = [[x if isinstance(x, RationalFunction) else RationalFunction.from_scalar(R4, x)
-             for x in row] for row in rows]
-    expected = sympy.Matrix([[to_sympy(x) for x in row] for row in rows]).det()
-    assert sympy.cancel(to_sympy(symbolic_determinant(rows)) - expected) == 0
+@given(st.one_of(two_forms(), r3_two_forms))
+def test_symbolic_determinant_matches_sympy(form):
+    """Pf(D·W)² = Dⁿ det W, D the product of W's distinct non-constant denominators."""
+    dens = []
+    for coeff in form.coeffs.values():
+        if not coeff.den.is_constant and coeff.den not in dens:
+            dens.append(coeff.den)
+    D = functools.reduce(operator.mul, dens, Polynomial.constant(form.chart, 1))
+    pf = symbolic_determinant(form)
+    matrix = DomainMatrix.from_Matrix(
+        sympy.Matrix([[to_sympy(x) for x in row] for row in two_form_matrix(form)]))
+    det = matrix.domain.to_sympy(matrix.det())
+    assert same_entries([RationalFunction(pf * pf, D ** form.chart.dimension)], [det])
 
 
 # -- contractions against sympy.Matrix products ------------------------------------
@@ -451,14 +473,12 @@ def sympy_matrix(T):
     return sympy.Matrix([[to_sympy(x) for x in row] for row in T.components])
 
 
-QQ_RING = sympy.polys.rings.PolyRing(SYMBOLS, sympy.QQ)
-
-
 def same_entries(ours, expected):
     """Each num/den of ours equals sympy's value p/q = sympy.cancel(...): num·q = p·den."""
     for value, oracle in zip(ours, expected, strict=True):
-        p, q = map(QQ_RING.from_expr, sympy.fraction(sympy.cancel(oracle)))
-        num, den = (QQ_RING.from_dict(dict(f.terms)) for f in (value.num, value.den))
+        ring = sympy.polys.rings.PolyRing(sympy.symbols(value.chart.names), sympy.QQ)
+        p, q = map(ring.from_expr, sympy.fraction(sympy.cancel(oracle)))
+        num, den = (ring.from_dict(dict(f.terms)) for f in (value.num, value.den))
         if num * q != p * den:
             return False
     return True
