@@ -2,15 +2,19 @@
 dependence and obstruction tests.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with its
-continuous extension for dense output, one step generated per state
-dimension on scalar locals; the stepper yields each accepted step, and
-the dense solution grows block by block.  Period detection works with
-the full phase-space return to the seed point, so quasi-periodic orbits
-report no period instead of aliasing; the first re-entry into an
-eps-ball is refined by golden-section minimization of the distance along
-the dense solution.  The search pulls steps only as far as its distance
-samples need, so it stops at the step that confirms the return, and the
-energy drift it reports covers the span actually integrated.
+continuous extension for dense output.  One adaptive loop is generated
+per flow, cached on the field's source: each stage evaluates the field
+inline on scalar locals, and the loop yields each accepted step, so the
+dense solution grows block by block.  A dense state at one time is
+computed on Python floats from the one step that covers it.
+
+Period detection works with the full phase-space return to the seed
+point, so quasi-periodic orbits report no period instead of aliasing;
+the first re-entry into an eps-ball is refined by golden-section
+minimization of the distance along the dense solution.  The search
+pulls steps only as far as its distance samples need, so it stops at
+the step that confirms the return, and the energy drift it reports
+covers the span actually integrated.
 
 The period of a flow is a diffeomorphism invariant, and on a connected
 family of periodic orbits the period depends on the energy alone; the
@@ -29,7 +33,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import chain
 
 from .errors import (CoefficientRangeError, DimensionError, IntegrationError, PoleError,
@@ -87,8 +91,9 @@ def _rational_source(f: RationalFunction, chart: Chart, constant_values):
     A denominator with no coordinate factor compiles to float literals
     only, so it is evaluated here: a zero raises PoleError instead of a
     ZeroDivisionError from the compiled function.  Every other division
-    has a state operand: on numpy arrays it cannot raise, and the stepper,
-    which passes float lists, rejects a step whose stage raises.
+    has a state operand: on numpy arrays it cannot raise, and the generated
+    stepping loop, which evaluates it on floats, rejects a step whose stage
+    raises.
     """
     num_src = _polynomial_source(f.num, chart, constant_values)
     if f.den.is_constant:
@@ -107,12 +112,20 @@ def compile_scalar(f: RationalFunction, constant_values=None):
     return namespace["_scalar"]
 
 
+def _field_sources(field: VectorField, constant_values):
+    """The float source of each component of the field, in the state y."""
+    return tuple(_rational_source(c, field.chart, constant_values) for c in field.components)
+
+
+def _compile_rhs(sources):
+    namespace = {}
+    exec("def _rhs(t, y):\n    return [" + ", ".join(sources) + "]\n", namespace)
+    return namespace["_rhs"]
+
+
 def compile_field(field: VectorField, constant_values=None):
     """Compile a vector field to an ODE right-hand side f(t, y) -> list."""
-    bodies = [_rational_source(c, field.chart, constant_values) for c in field.components]
-    namespace = {}
-    exec("def _rhs(t, y):\n    return [" + ", ".join(bodies) + "]\n", namespace)
-    return namespace["_rhs"]
+    return _compile_rhs(_field_sources(field, constant_values))
 
 
 class FlowSystem:
@@ -158,7 +171,9 @@ class FlowSystem:
         self._energy = (
             compile_scalar(hamiltonian, self.constant_values) if hamiltonian is not None else None
         )
-        self._rhs = compile_field(field, self.constant_values)
+        sources = _field_sources(field, self.constant_values)
+        self._rhs = _compile_rhs(sources)
+        self._steps = _steps_for(sources)
 
     @cached_property
     def partials(self):
@@ -196,42 +211,94 @@ def _rms(values):
     return math.hypot(*values) / math.sqrt(len(values))
 
 
-# One component's tableau over its stages a..g = k1..k7: (time offset, increment) of
-# k2..k6, then the 5th-order solution and the 5th-minus-4th-order error.
-_STAGE_ROWS = (("1/5 * h", "1/5 * a"), ("3/10 * h", "3/40 * a + 9/40 * b"),
-               ("4/5 * h", "44/45 * a - 56/15 * b + 32/9 * c"),
-               ("8/9 * h", "19372/6561 * a - 25360/2187 * b + 64448/6561 * c - 212/729 * d"),
-               ("h", "9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d - 5103/18656 * e"))
+# One component's tableau over its stages a..g = k1..k7: the increments of k2..k6, then
+# the 5th-order solution and the 5th-minus-4th-order error.  The field is autonomous,
+# so the stages' time offsets are never evaluated.
+_STAGE_ROWS = ("1/5 * a", "3/40 * a + 9/40 * b", "44/45 * a - 56/15 * b + 32/9 * c",
+               "19372/6561 * a - 25360/2187 * b + 64448/6561 * c - 212/729 * d",
+               "9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d - 5103/18656 * e")
 _SOLUTION_ROW = "35/384 * a + 500/1113 * c + 125/192 * d - 2187/6784 * e + 11/84 * f"
 _ERROR_ROW = "-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e - 22/525 * f + 1/40 * g"
 
-
-def _step_source(d):
-    def each(text, sep=", "):  # text once per component i, its one-letter names suffixed by i
-        return sep.join(re.sub(r"\b([a-gny])\b", rf"\g<1>{i}", text) for i in range(d))
-
-    # (u if u > v else v) is max(v, u) without the call: the same float, NaN included
-    scaled = f"({_ERROR_ROW}) * h / (atol + (u if (u := abs(n)) > (v := abs(y)) else v) * rtol)"
-    lines = [f"[{each('y')}] = y", f"[{each('a')}] = k1"]
-    for k, (offset, increment) in enumerate(_STAGE_ROWS, start=2):
-        lines += [f"k{k} = rhs(t + {offset}, [{each(f'y + ({increment}) * h')}])",
-                  f"[{each('abcdef'[k - 1])}] = k{k}"]
-    lines += [each(f"n = y + ({_SOLUTION_ROW}) * h", "; "), f"y_new = [{each('n')}]",
-              "k7 = rhs(t + h, y_new)", f"[{each('g')}] = k7",
-              f"err = hypot({each(scaled)}) / {math.sqrt(d)!r}",
-              "return y_new, (k1, k2, k3, k4, k5, k6, k7), err"]
-    return "def _step(rhs, t, y, k1, h, rtol, atol):\n    " + "\n    ".join(lines) + "\n"
+_LOOP = """def _steps(t, t_end, y, f, h_abs, rtol, atol):
+    [{y}] = y
+    [{a}] = f
+    attempts = 0
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        if h_abs < min_step:  # max(h_abs, min_step) and min(t + h_abs, t_end), without the calls
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"step size fell below the float spacing at t = {{t!r}}")
+            attempts += 1
+            if attempts > MAX_STEP_ATTEMPTS:
+                raise IntegrationError(
+                    f"the budget of {{MAX_STEP_ATTEMPTS}} step attempts ran out at t = {{t!r}}")
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
+            h = t_new - t
+            try:
+                {trial}
+            except (ZeroDivisionError, OverflowError):
+                err = math.inf
+            if err < 1.0:
+                break
+            shrink = max(MIN_FACTOR, SAFETY * err ** -0.2) if math.isfinite(err) else MIN_FACTOR
+            h_abs = h * shrink
+            rejected = True
+        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.2)
+        h_abs = h * (min(1.0, factor) if rejected else factor)
+        yield t_new, ({y},), ({stages})
+        t = t_new
+        {advance}
+"""
 
 
 @cache
-def _step_for(d):
-    """The DOPRI 5(4) step(rhs, t, y, k1, h, rtol, atol) -> (y_new, stages, err) on
-    R^d, generated on first use.  Scalar locals keep the tableau's coefficients
-    and association, and err is hypot over sqrt(d) as in _rms: every float is the
-    one a step over lists of components gives."""
-    namespace = {"hypot": math.hypot}
-    exec(_step_source(d), namespace)
-    return namespace["_step"]
+def _steps_for(sources):
+    """The adaptive DOPRI 5(4) loop steps(t, t_end, y, f, h_abs, rtol, atol) of the
+    field whose components compile to sources, generated on first use.
+
+    From (t, y) with the field's value f there and a first step size h_abs,
+    it yields each accepted step as (t_new, y_old, stages): y_old the state at
+    the step's start, stages the 7·d values k1..k7 as one flat tuple.  Each
+    stage evaluates the sources on scalar locals.  The tableau's coefficients
+    and association are kept, and err is hypot over sqrt(d) as in _rms: every
+    float is the one a step over lists of components gives.
+
+    A step is accepted when the RMS of its scaled error is below 1; no
+    accepted step grows h after a rejection.  A stage that divides by zero
+    or overflows, or a non-finite error, rejects the step at MIN_FACTOR, so
+    a pole ends in IntegrationError once h falls below 10 ulp(t).  An orbit
+    that blows up in finite time ends there too, or at the latest after
+    MAX_STEP_ATTEMPTS attempts.
+    """
+    d = len(sources)
+
+    def each(text, sep="; "):  # text once per component i, its one-letter names suffixed by i
+        return sep.join(re.sub(r"\b([a-gnsy])\b", rf"\g<1>{i}", text) for i in range(d))
+
+    def stage(name, state):  # the field at the state's locals, into name0..name{d-1}
+        return "; ".join(f"{name}{i} = " + re.sub(r"y\[(\d+)\]", rf"{state}\1", body)
+                         for i, body in enumerate(sources))
+
+    trial = []
+    for name, increment in zip("bcdef", _STAGE_ROWS):
+        trial += [each(f"s = y + ({increment}) * h"), stage(name, "s")]
+    # (u if u > v else v) is max(v, u) without the call: the same float, NaN included
+    scaled = f"({_ERROR_ROW}) * h / (atol + (u if (u := abs(n)) > (v := abs(y)) else v) * rtol)"
+    trial += [each(f"n = y + ({_SOLUTION_ROW}) * h"), stage("g", "n"),
+              f"err = math.hypot({each(scaled, ', ')}) / {math.sqrt(d)!r}"]
+    source = _LOOP.format(y=each("y", ", "), a=each("a", ", "),
+                          trial="\n                ".join(trial),
+                          stages=", ".join(each(name, ", ") for name in "abcdefg"),
+                          advance=each("y = n") + "; " + each("a = g"))
+    namespace = {}
+    exec(source, globals(), namespace)  # the loop reads the module's constants
+    return namespace["_steps"]
 
 
 def _initial_step(rhs, t, y, f, span, rtol, atol):
@@ -252,53 +319,15 @@ def _initial_step(rhs, t, y, f, span, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _dopri(rhs, t, t_end, y, rtol, atol):
-    """Adaptive steps from (t, y) to t_end, yielded as each is accepted:
-    (t_new, y_old, stages), with y_old the state at the step's start.
-
-    A step is accepted when the RMS of its scaled error is below 1; no
-    accepted step grows h after a rejection.  A stage that divides by zero
-    or overflows, or a non-finite error, rejects the step at MIN_FACTOR, so
-    a pole ends in IntegrationError once h falls below 10 ulp(t).  An orbit
-    that blows up in finite time ends there too, or at the latest after
-    MAX_STEP_ATTEMPTS attempts.
-    """
+def _dopri(system: FlowSystem, t, t_end, y, rtol, atol):
+    """The accepted steps of system's flow from (t, y) to t_end, by its generated
+    loop, started with the field's value at y and Hairer's starting step."""
     try:
-        f = rhs(t, y)
+        f = system.rhs(t, y)
     except (ZeroDivisionError, OverflowError):
         raise IntegrationError(f"the field is singular at the initial state {y}") from None
-    h_abs = _initial_step(rhs, t, y, f, t_end - t, rtol, atol)
-    step = _step_for(len(y))
-    attempts = 0
-    while t < t_end:
-        min_step = 10.0 * math.ulp(t)
-        if h_abs < min_step:  # max(h_abs, min_step) and min(t + h_abs, t_end), without the calls
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError(f"step size fell below the float spacing at t = {t!r}")
-            attempts += 1
-            if attempts > MAX_STEP_ATTEMPTS:
-                raise IntegrationError(
-                    f"the budget of {MAX_STEP_ATTEMPTS} step attempts ran out at t = {t!r}")
-            t_new = t + h_abs
-            if t_end < t_new:
-                t_new = t_end
-            h = t_new - t
-            try:
-                y_new, k, err = step(rhs, t, y, f, h, rtol, atol)
-            except (ZeroDivisionError, OverflowError):
-                err = math.inf
-            if err < 1.0:
-                break
-            shrink = max(MIN_FACTOR, SAFETY * err ** -0.2) if math.isfinite(err) else MIN_FACTOR
-            h_abs = h * shrink
-            rejected = True
-        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.2)
-        h_abs = h * (min(1.0, factor) if rejected else factor)
-        yield t_new, y, k
-        t, y, f = t_new, y_new, k[6]
+    h_abs = _initial_step(system.rhs, t, y, f, t_end - t, rtol, atol)
+    return system._steps(t, t_end, y, f, h_abs, rtol, atol)
 
 
 class DenseSolution:
@@ -323,7 +352,8 @@ class DenseSolution:
         self.ts, self.h, self.y_old, self.Q = ts[:n + 1], h[:n], y_old[:n], Q[:n]
 
     def extend(self, steps):
-        """Append accepted steps (t_new, y_old, stages) that continue from times[-1]."""
+        """Append accepted steps (t_new, y_old, stages) that continue from times[-1],
+        with stages the 7·d values k1..k7 as one flat sequence."""
         import numpy as np
 
         t_new, states, stages = zip(*steps)
@@ -339,22 +369,27 @@ class DenseSolution:
         ts[n + 1:n + m + 1] = t_new
         h[n:n + m] = ts[n + 1:n + m + 1] - ts[n:n + m]
         y_old[n:n + m] = states
-        flat = chain.from_iterable(chain.from_iterable(stages))
+        flat = chain.from_iterable(stages)
         K = np.fromiter(flat, float, count=m * 7 * y_old.shape[1]).reshape(m, 7, -1)
         Q[n:n + m] = np.einsum("msn,sj->mnj", K, _P)
         self.times.extend(t_new)
         self._view(n + m)
 
+    def at(self, t):
+        """The state at a scalar t as a list of floats: the array path's arithmetic on
+        the one row that bisection finds, on Python floats."""
+        i = min(max(bisect_left(self.times, t) - 1, 0), len(self.h) - 1)
+        h = float(self.h[i])
+        x = (t - self.times[i]) / h
+        return [y + h * ((((q3 * x + q2) * x + q1) * x + q0) * x)
+                for y, (q0, q1, q2, q3) in zip(self.y_old[i].tolist(), self.Q[i].tolist())]
+
     def __call__(self, t):
         """The state (dim,) at a scalar t, or the states (dim, m) at m times."""
         import numpy as np
 
-        if isinstance(t, float):  # the same arithmetic on one row, found by bisection
-            i = min(max(bisect_left(self.times, t) - 1, 0), len(self.h) - 1)
-            h = self.h[i]
-            x = (t - self.times[i]) / h
-            Q = self.Q[i]
-            return self.y_old[i] + h * ((((Q[:, 3] * x + Q[:, 2]) * x + Q[:, 1]) * x + Q[:, 0]) * x)
+        if isinstance(t, float):
+            return np.array(self.at(t))
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.h) - 1)
         h = self.h[i]
@@ -403,7 +438,7 @@ def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: f
         raise ValueError("tolerances must be positive and finite")
     x0 = [float(v) for v in x0]
     solution = DenseSolution(float(t_start), len(x0))
-    solution.extend(list(_dopri(system.rhs, float(t_start), float(t_end), x0, rtol, atol)))
+    solution.extend(list(_dopri(system, float(t_start), float(t_end), x0, rtol, atol)))
     initial_energy = system.energy(x0)
     max_drift = None if initial_energy is None else _energy_drift(system, solution, initial_energy)
     return Trajectory(solution=solution, initial_energy=initial_energy, max_energy_drift=max_drift)
@@ -436,6 +471,13 @@ def _golden_minimize(f, a, b, tol):
             x2 = a + ratio * (b - a)
             f2 = f(x2)
     return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+def _distance(solution: DenseSolution, x0, t):
+    """|x(t) − x0| for an array x0, by np.linalg.norm's arithmetic on a vector: the
+    same float.  The difference is taken negated, which leaves every square as it is."""
+    v = x0 - solution.at(t)
+    return math.sqrt(v.dot(v))
 
 
 def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
@@ -472,13 +514,11 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
     while start < t_max:
         stop = min(start + chunk, t_max)
         chunk = min(2.0 * chunk, MAX_CHUNK)
-        steps = _dopri(system.rhs, start, stop, state, rtol, atol)
+        steps = _dopri(system, start, stop, state, rtol, atol)
         solution = DenseSolution(start, len(state))
         initial_energy = system.energy(state)
 
-        def distance(t, sol=solution):
-            return float(np.linalg.norm(sol(t) - x0))
-
+        distance = partial(_distance, solution, x0)
         ts = np.linspace(start, stop, max(16, int(round((stop - start) / SAMPLE_SPACING))))
         dists = np.empty_like(ts)
         # candidate minima start after the sample that leaves the ball
@@ -530,7 +570,7 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
         # restart slightly before the chunk end so boundary minima fall in the
         # interior of the next scan window
         start = stop - 2.0 * SAMPLE_SPACING
-        state = solution(start).tolist()
+        state = solution.at(start)
     reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
     min_distance = closest if math.isfinite(closest) else None
     return PeriodDetection(False, None, min_distance, False, reason, max_drift)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -158,13 +159,11 @@ def test_integrate_through_a_pole_raises_integration_error():
 
 
 def test_a_stage_that_raises_rejects_the_step_until_the_step_collapses():
-    def rhs(t, y):
-        if t > 0.5:
-            raise ZeroDivisionError
-        return [1.0, 0.0]
-
-    with pytest.raises(IntegrationError, match="t = 0.49999"):
-        list(period._dopri(rhs, 0.0, 1.0, [0.0, 0.0], 1e-10, 1e-12))
+    # q' = 1 from q = 5, and q^400 overflows past q = exp(log(max float) / 400) = 5.897076869164...
+    chart = Chart(["q", "p"])
+    field = VectorField(chart, [chart.one(), parse_expression("q^400 / 10^300", chart)])
+    with pytest.raises(IntegrationError, match=r"float spacing at t = 0\.897076869164"):
+        list(period._dopri(FlowSystem(chart, field=field), 0.0, 2.0, [5.0, 0.0], 1e-10, 1e-12))
 
 
 def reference_dopri_step(rhs, t, y, k1, h, rtol, atol):
@@ -186,36 +185,89 @@ def reference_dopri_step(rhs, t, y, k1, h, rtol, atol):
     return y_new, (k1, k2, k3, k4, k5, k6, k7), err
 
 
+def reference_steps(rhs, t, t_end, y, f, h_abs, rtol, atol):
+    """The adaptive loop over reference_dopri_step, in the generated loop's form."""
+    attempts = 0
+    while t < t_end:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"step size fell below the float spacing at t = {t!r}")
+            attempts += 1
+            if attempts > period.MAX_STEP_ATTEMPTS:
+                raise IntegrationError(
+                    f"the budget of {period.MAX_STEP_ATTEMPTS} step attempts ran out at t = {t!r}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            try:
+                y_new, k, err = reference_dopri_step(rhs, t, y, f, h, rtol, atol)
+            except (ZeroDivisionError, OverflowError):
+                err = math.inf
+            if err < 1.0:
+                break
+            shrink = (max(period.MIN_FACTOR, period.SAFETY * err ** -0.2) if math.isfinite(err)
+                      else period.MIN_FACTOR)
+            h_abs = h * shrink
+            rejected = True
+        factor = (period.MAX_FACTOR if err == 0.0
+                  else min(period.MAX_FACTOR, period.SAFETY * err ** -0.2))
+        h_abs = h * (min(1.0, factor) if rejected else factor)
+        yield t_new, tuple(y), tuple(chain.from_iterable(k))
+        t, y, f = t_new, y_new, k[6]
+
+
+def reference_dopri(system, t, t_end, y, rtol, atol):
+    """_dopri's start, then the reference loop."""
+    f = system.rhs(t, y)
+    h_abs = period._initial_step(system.rhs, t, y, f, t_end - t, rtol, atol)
+    return reference_steps(system.rhs, t, t_end, y, f, h_abs, rtol, atol)
+
+
+def first_steps(steps, count=4):
+    """Up to count steps, then the IntegrationError's message if one ends them."""
+    taken = []
+    try:
+        taken.extend(islice(steps, count))
+    except IntegrationError as exc:
+        taken.append(str(exc))
+    return taken
+
+
 @st.composite
 def step_inputs(draw):
-    """A polynomial field on R^d (d = 1..8, degree <= 3) and one step's arguments."""
+    """A field on R^d (d = 1..8; polynomial numerators of degree <= 3, some over a
+    non-constant denominator) and the arguments of a run of steps."""
     d = draw(st.integers(1, 8))
     chart = Chart([f"x{i}" for i in range(d)])
     coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=8)
     exponents = st.lists(st.integers(0, d - 1), max_size=3).map(  # a monomial of degree <= 3
         lambda axes: tuple(axes.count(i) for i in range(d)))
-    components = draw(st.lists(st.dictionaries(exponents, coefficient, max_size=4),
-                               min_size=d, max_size=d))
-    field = VectorField(chart, [RationalFunction(Polynomial(chart, terms)) for terms in components])
+    polynomial = st.dictionaries(exponents, coefficient, max_size=4).map(
+        lambda terms: Polynomial(chart, terms))
+    denominator = st.one_of(st.none(), polynomial.filter(lambda den: not den.is_constant))
+    components = draw(st.lists(st.tuples(polynomial, denominator), min_size=d, max_size=d))
+    field = VectorField(chart, [RationalFunction(num, den) for num, den in components])
     number = st.floats(-2.0, 2.0)
     vector = st.lists(number, min_size=d, max_size=d)
-    return (period.compile_field(field), draw(number), draw(vector), draw(vector),
+    t = draw(number)
+    return (field, t, t + draw(st.floats(1e-3, 2.0)), draw(vector), draw(vector),
             draw(st.floats(1e-6, 0.5)), draw(st.floats(1e-12, 1e-3)), draw(st.floats(1e-14, 1e-3)))
 
 
 @settings(max_examples=60)
 @given(step_inputs())
 def test_generated_step_is_bit_identical_to_the_list_step(arguments):
-    rhs, t, y, k1, h, rtol, atol = arguments
-    y_new, stages, err = period._step_for(len(y))(rhs, t, y, k1, h, rtol, atol)
-    expected_y, expected_stages, expected_err = reference_dopri_step(rhs, t, y, k1, h, rtol, atol)
-    assert y_new == expected_y
-    assert stages == expected_stages
-    assert err == expected_err
+    field, t, t_end, y, k1, h, rtol, atol = arguments
+    loop = period._steps_for(period._field_sources(field, None))
+    rhs = period.compile_field(field)
+    assert (first_steps(loop(t, t_end, y, k1, h, rtol, atol))
+            == first_steps(reference_steps(rhs, t, t_end, y, k1, h, rtol, atol)))
 
 
 def test_dense_solution_grown_in_blocks_has_the_bits_of_one_built_at_once():
-    steps = list(period._dopri(quartic_system().rhs, 0.0, 20.0, [1.0, 0.0], 1e-10, 1e-12))
+    steps = list(period._dopri(quartic_system(), 0.0, 20.0, [1.0, 0.0], 1e-10, 1e-12))
     whole = DenseSolution(0.0, 2)
     whole.extend(steps)
     grown = DenseSolution(0.0, 2)
@@ -277,7 +329,7 @@ def solve_ivp_steps(rhs, t, t_end, y, rtol, atol):
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationError(message)
-        yield solver.t, y_old, solver.K.tolist()
+        yield solver.t, y_old, solver.K.ravel().tolist()
 
 
 def test_detect_period_agrees_with_solve_ivp(monkeypatch):
@@ -286,9 +338,9 @@ def test_detect_period_agrees_with_solve_ivp(monkeypatch):
     periods = [detect_period(system, x0).period for system, x0 in cases]
     calls = []
 
-    def oracle(*arguments):
+    def oracle(system, *arguments):
         calls.append(arguments)
-        return solve_ivp_steps(*arguments)
+        return solve_ivp_steps(system.rhs, *arguments)
 
     monkeypatch.setattr(period, "_dopri", oracle)
     for (system, x0), found in zip(cases, periods):
@@ -384,6 +436,33 @@ def test_streaming_search_matches_the_chunk_then_scan_reference(search):
     system, x0, t_max = search
     assert_same_search(detect_period(system, x0, t_max=t_max),
                        reference_detect_period(system, x0, t_max=t_max))
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_SYSTEMS))
+def test_detect_period_through_the_generated_loop_matches_the_list_step_loop(name, monkeypatch):
+    system = SEARCH_SYSTEMS[name]
+    rng = random.Random(name)
+    seeds = [[rng.uniform(-1.5, 1.5) for _ in range(system.chart.dimension)] for _ in range(2)]
+    found = [detect_period(system, x0, t_max=60.0) for x0 in seeds]
+    monkeypatch.setattr(period, "_dopri", reference_dopri)
+    expected = [detect_period(system, x0, t_max=60.0) for x0 in seeds]
+    assert found == expected  # every field: period, min_distance and drift included
+    assert any(detection.periodic for detection in expected) == (name != "sqrt2-torus")
+
+
+@pytest.mark.parametrize("system,x0", [(quartic_system(), [1.0, 0.0]),
+                                       (torus_system(), [1.0, 1.0, 0.0, 0.5])],
+                         ids=["R2", "R4"])
+def test_distance_and_the_scalar_path_have_the_bits_of_the_array_path(system, x0):
+    solution = integrate(system, x0, 30.0).solution
+    x0 = np.array(x0)
+    rng = random.Random(11)
+    for t in [rng.uniform(-1.0, 31.0) for _ in range(1000)]:
+        row = solution(np.array(t))
+        assert solution.at(t) == row.tolist()
+        expected = float(np.linalg.norm(solution(t) - x0))
+        assert period._distance(solution, x0, t) == expected
+        assert expected == float(np.linalg.norm(row - x0))
 
 
 @pytest.mark.parametrize("sample", [period.SEARCH_WINDOW - 1, period.SEARCH_WINDOW])
