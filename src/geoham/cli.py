@@ -3,8 +3,9 @@ emit a deterministic JSON report (stdout or --out) and optional CSV
 side files.
 
 Exit codes: 0 success (false verdicts are still success), 1 parse
-error, 2 analysis failure (e.g. a requested factorization does not
-exist).
+error or unreadable input or unwritable output, 2 usage error or
+analysis failure (some result carries an ``error``, e.g. a requested
+factorization does not exist).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .errors import GeohamError, NotDecomposableError, ParseError
 from .geom import (
@@ -26,20 +28,18 @@ from .geom import (
     twisted_two_form,
     validate_structures,
 )
-from .linfact import ExactMatrix, hamiltonian_factorize, is_canonical, noncanonical_symmetry, odd_trace_test, transform_description
-from .period import FlowSystem, dependence_test, equivalence_obstruction, period_energy_scan
-from .report import (
-    build_report,
-    float_matrix_to_dict,
-    matrix_to_dict,
-    period_table_to_dict,
-    render_report,
+from .linfact import (
+    hamiltonian_factorize,
+    is_canonical,
+    noncanonical_symmetry,
+    odd_trace_test,
+    transform_description,
 )
+from .period import FlowSystem, dependence_test, equivalence_obstruction, period_energy_scan
+from .report import build_report, matrix_to_dict, render_report
 from .sysfile import REQUEST_KINDS, load_system_file
 from .torus import INDEPENDENCE_ASSUMPTION, classify
 
-DEPENDENCE_REL_TOL = 1e-6
-OBSTRUCTION_REL_TOL = 1e-4
 COMPLETENESS_ASSUMPTION = "completeness of normal-form fields assumed, not verified"
 
 
@@ -79,132 +79,112 @@ def _build_argument_parser():
     return parser
 
 
-def _run_verify(system, options):
-    results = []
-    for request in system.requests_of("verify"):
-        report = is_hamiltonian_description(
-            request.objects["field"],
-            request.objects["form"],
-            request.objects["hamiltonian"],
-            sample_seed=options.seed,
-            constants=system.constant_values,
-        )
-        entry = {"request": request.name, "kind": "verify"}
-        entry.update(report.to_dict())
-        entry["objects"] = {
-            "field": str(request.objects["field"]),
-            "form": str(request.objects["form"]),
-            "hamiltonian": str(request.objects["hamiltonian"]),
-        }
-        results.append(entry)
-    return results, [], False
+def _verify(system, request, options):
+    objects = request.objects
+    return {
+        **is_hamiltonian_description(
+            objects["field"], objects["form"], objects["hamiltonian"],
+            sample_seed=options.seed, constants=system.constant_values,
+        ).to_dict(),
+        "objects": {name: str(objects[name]) for name in ("field", "form", "hamiltonian")},
+    }
 
 
-def _run_factorize(system, options):
-    results = []
-    failed = False
-    for request in system.requests_of("factorize"):
-        matrix = request.objects["matrix"]
-        entry = {"request": request.name, "kind": "factorize",
-                 "odd_trace": odd_trace_test(matrix).to_dict()}
-        try:
-            fact = hamiltonian_factorize(matrix)
-            entry["factorization"] = {
-                "lam": matrix_to_dict(fact.lam),
-                "ham": matrix_to_dict(fact.ham),
-            }
-        except NotDecomposableError as exc:
-            entry["factorization"] = None
-            entry["error"] = exc.reason
-            failed = True
-        results.append(entry)
-    return results, [], failed
+def _description_to_dict(description):
+    return {"lam": matrix_to_dict(description.lam), "ham": matrix_to_dict(description.ham)}
 
 
-def _symmetry_to_dict(T):
-    if isinstance(T, ExactMatrix):
-        return matrix_to_dict(T)
-    return float_matrix_to_dict(T)
+def _factorize(system, request, options):
+    matrix = request.objects["matrix"]
+    entry = {"odd_trace": odd_trace_test(matrix).to_dict()}
+    try:
+        return {**entry, "factorization": _description_to_dict(hamiltonian_factorize(matrix))}
+    except NotDecomposableError as exc:
+        return {**entry, "factorization": None, "error": exc.reason}
 
 
-def _run_altgen(system, options):
-    results = []
-    failed = False
-    for request in system.requests_of("altgen"):
-        entry = {"request": request.name, "kind": "altgen"}
-        if "matrix" in request.objects:
-            matrix = request.objects["matrix"]
-            entry["pipeline"] = "matrix-symmetry"
-            try:
-                fact = hamiltonian_factorize(matrix)
-            except NotDecomposableError as exc:
-                entry["error"] = exc.reason
-                failed = True
-                results.append(entry)
-                continue
-            T = noncanonical_symmetry(matrix, request.options["k"], request.options["lam"])
-            moved = transform_description(fact, T)
-            entry.update(
-                {
-                    "symmetry": _symmetry_to_dict(T),
-                    "canonical": is_canonical(T, fact.lam),
-                    "base": {"lam": matrix_to_dict(fact.lam), "ham": matrix_to_dict(fact.ham)},
-                    "transformed": {
-                        "lam": _symmetry_to_dict(moved.lam),
-                        "ham": _symmetry_to_dict(moved.ham),
-                    },
-                    "same_description": moved.same_description,
-                    "exact": moved.exact,
-                }
-            )
-        else:
-            gamma = request.objects["field"]
-            tensor = request.objects["tensor"]
-            invariant = request.objects["invariant"]
-            entry["pipeline"] = "twisted-two-form"
-            tensor_invariant = lie_derivative(gamma, tensor).is_zero
-            function_invariant = gamma.apply(invariant).is_zero
-            two_form = twisted_two_form(tensor, invariant)
-            new_hamiltonian = -(
-                interior_product(tensor.apply(gamma), differential(invariant)).coefficient(())
-            )
-            description = is_hamiltonian_description(
-                gamma, two_form, new_hamiltonian, sample_seed=options.seed,
-                constants=system.constant_values,
-            )
-            entry.update(
-                {
-                    "tensor_invariant": tensor_invariant,
-                    "function_invariant": function_invariant,
-                    "two_form": str(two_form),
-                    "hamiltonian": str(new_hamiltonian),
-                    "description": description.to_dict(),
-                }
-            )
-        results.append(entry)
-    return results, [], failed
+def _matrix_symmetry(system, request, options):
+    matrix = request.objects["matrix"]
+    try:
+        fact = hamiltonian_factorize(matrix)
+    except NotDecomposableError as exc:
+        return {"pipeline": "matrix-symmetry", "error": exc.reason}
+    T = noncanonical_symmetry(matrix, request.options["k"], request.options["lam"])
+    moved = transform_description(fact, T)
+    return {
+        "pipeline": "matrix-symmetry",
+        "symmetry": matrix_to_dict(T),
+        "canonical": is_canonical(T, fact.lam),
+        "base": _description_to_dict(fact),
+        "transformed": _description_to_dict(moved),
+        "same_description": moved.same_description,
+        "exact": moved.exact,
+    }
 
 
-def _run_resonance(system, options):
-    results = []
-    assumptions = []
-    for request in system.requests_of("resonance"):
-        classification = classify(request.objects["spec"])
-        assumptions.append(INDEPENDENCE_ASSUMPTION)
-        results.append(
-            {"request": request.name, "kind": "resonance", **classification.to_dict()}
-        )
-    return results, assumptions, False
-
-
-def _scan_for_request(system, request, options):
-    flow = FlowSystem(
-        system.chart,
-        hamiltonian=request.objects["hamiltonian"],
-        constant_values=system.constant_values,
+def _altgen(system, request, options):
+    if "matrix" in request.objects:
+        return _matrix_symmetry(system, request, options)
+    gamma, tensor, invariant = (request.objects[name] for name in ("field", "tensor", "invariant"))
+    tensor_invariant = lie_derivative(gamma, tensor).is_zero
+    function_invariant = gamma.apply(invariant).is_zero
+    two_form = twisted_two_form(tensor, invariant)
+    new_hamiltonian = -(
+        interior_product(tensor.apply(gamma), differential(invariant)).coefficient(())
     )
+    return {
+        "pipeline": "twisted-two-form",
+        "tensor_invariant": tensor_invariant,
+        "function_invariant": function_invariant,
+        "two_form": str(two_form),
+        "hamiltonian": str(new_hamiltonian),
+        "description": is_hamiltonian_description(
+            gamma, two_form, new_hamiltonian, sample_seed=options.seed,
+            constants=system.constant_values,
+        ).to_dict(),
+    }
+
+
+def _resonance(system, request, options):
+    return classify(request.objects["spec"]).to_dict()
+
+
+def _normalform(system, request, options):
+    return check_normal_form(
+        request.objects["field"],
+        request.objects["integrals"],
+        request.objects["fields"],
+        nu=request.objects.get("nu"),
+        sample_seed=options.seed,
+        constants=system.constant_values,
+    ).to_dict()
+
+
+def _validate(system, request, options):
+    return validate_structures(
+        request.options["structure"], sample_seed=options.seed,
+        constants=system.constant_values, **request.objects
+    ).to_dict()
+
+
+# The fields of one result, by request kind; period keeps its tables and is run in ``run``.
+_KINDS = {
+    "verify": _verify,
+    "factorize": _factorize,
+    "altgen": _altgen,
+    "resonance": _resonance,
+    "normalform": _normalform,
+    "validate": _validate,
+}
+
+# The assumption a report states when it holds a request of that kind.
+_ASSUMPTIONS = {"resonance": INDEPENDENCE_ASSUMPTION, "normalform": COMPLETENESS_ASSUMPTION}
+
+
+def _scan(system, request, options):
     return period_energy_scan(
-        flow,
+        FlowSystem(system.chart, hamiltonian=request.objects["hamiltonian"],
+                   constant_values=system.constant_values),
         request.options["energies"],
         request.options["seeds"],
         seed=options.seed,
@@ -215,101 +195,42 @@ def _scan_for_request(system, request, options):
     )
 
 
-def _run_period(system, options, compare_system=None):
-    results = []
-    failed = False
-    tables = []
-    for request in system.requests_of("period"):
-        table = _scan_for_request(system, request, options)
-        tables.append(table)
-        dependence = dependence_test(table, rel_tol=DEPENDENCE_REL_TOL)
-        results.append(
-            {
-                "request": request.name,
-                "kind": "period",
-                "table": period_table_to_dict(table),
-                "dependence": dependence.to_dict(),
-            }
-        )
-        if options.csv_dir:
-            os.makedirs(options.csv_dir, exist_ok=True)
+def _obstruction(system, compare_system, tables, options):
+    own = system.requests_of("period")
+    other = compare_system.requests_of("period")
+    if not own or not other:
+        raise GeohamError("period --compare needs a period request in both files")
+    other_table = _scan(compare_system, other[0], options)
+    entry = {"request": f"{own[0].name}-vs-{other[0].name}", "kind": "obstruction"}
+    try:
+        return {**entry, **equivalence_obstruction(tables[0], other_table).to_dict(),
+                "compare_table": asdict(other_table)}
+    except ValueError as exc:
+        return {**entry, "error": str(exc)}
+
+
+def _write_outputs(options, rendered, requests, tables, dimension):
+    if options.csv_dir and tables:
+        os.makedirs(options.csv_dir, exist_ok=True)
+        for request, table in zip(requests, tables):
             path = os.path.join(options.csv_dir, f"{request.name}.csv")
             with open(path, "w", newline="", encoding="utf-8") as handle:
-                csv.writer(handle).writerows(table.csv_rows(system.chart.dimension))
-    if compare_system is not None:
-        own = system.requests_of("period")
-        other = compare_system.requests_of("period")
-        if not own or not other:
-            raise GeohamError("period --compare needs a period request in both files")
-        other_table = _scan_for_request(compare_system, other[0], options)
-        try:
-            obstruction = equivalence_obstruction(
-                tables[0], other_table, rel_tol=OBSTRUCTION_REL_TOL
-            )
-            results.append(
-                {
-                    "request": f"{own[0].name}-vs-{other[0].name}",
-                    "kind": "obstruction",
-                    "compare_table": period_table_to_dict(other_table),
-                    **obstruction.to_dict(),
-                }
-            )
-        except ValueError as exc:
-            results.append(
-                {
-                    "request": f"{own[0].name}-vs-{other[0].name}",
-                    "kind": "obstruction",
-                    "error": str(exc),
-                }
-            )
-            failed = True
-    return results, [], failed
-
-
-def _run_normalform(system, options):
-    results = []
-    assumptions = []
-    for request in system.requests_of("normalform"):
-        report = check_normal_form(
-            request.objects["field"],
-            request.objects["integrals"],
-            request.objects["fields"],
-            nu=request.objects.get("nu"),
-            sample_seed=options.seed,
-            constants=system.constant_values,
-        )
-        assumptions.append(COMPLETENESS_ASSUMPTION)
-        results.append({"request": request.name, "kind": "normalform", **report.to_dict()})
-    return results, assumptions, False
-
-
-def _run_validate(system, options):
-    results = []
-    for request in system.requests_of("validate"):
-        report = validate_structures(
-            request.options["structure"], sample_seed=options.seed,
-            constants=system.constant_values, **request.objects
-        )
-        results.append({"request": request.name, "kind": "validate", **report.to_dict()})
-    return results, [], False
-
-
-_HANDLERS = {
-    "verify": _run_verify,
-    "factorize": _run_factorize,
-    "altgen": _run_altgen,
-    "resonance": _run_resonance,
-    "normalform": _run_normalform,
-    "validate": _run_validate,
-}
+                csv.writer(handle).writerows(table.csv_rows(dimension))
+    if options.out:
+        with open(options.out, "w", encoding="utf-8") as handle:
+            handle.write(rendered)
 
 
 def run(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-    options = _build_argument_parser().parse_args(argv)
+    parser = _build_argument_parser()
+    options = parser.parse_args(argv)
+    kind = options.subcommand
+    if options.compare is not None and kind != "period":
+        parser.error("--compare is for period only")
     try:
         system = load_system_file(options.file)
-        compare_system = load_system_file(options.compare) if options.compare else None
+        compare_system = load_system_file(options.compare) if options.compare is not None else None
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -320,17 +241,26 @@ def run(argv=None, stdout=None) -> int:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 1
 
+    requests = system.requests_of(kind)
+    results, tables = [], []
     try:
-        if options.subcommand == "period":
-            results, assumptions, failed = _run_period(system, options, compare_system)
-        else:
-            results, assumptions, failed = _HANDLERS[options.subcommand](system, options)
+        for request in requests:
+            if kind == "period":
+                tables.append(_scan(system, request, options))
+                fields = {"table": asdict(tables[-1]),
+                          "dependence": dependence_test(tables[-1]).to_dict()}
+            else:
+                fields = _KINDS[kind](system, request, options)
+            results.append({"request": request.name, "kind": kind, **fields})
+        if compare_system is not None:
+            results.append(_obstruction(system, compare_system, tables, options))
     except GeohamError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 2
 
+    failed = any("error" in entry for entry in results)
     report = build_report(
-        subcommand=options.subcommand,
+        subcommand=kind,
         input_path=options.file,
         seed=options.seed,
         parameters={
@@ -340,15 +270,17 @@ def run(argv=None, stdout=None) -> int:
             "tmax": options.tmax,
         },
         results=results,
-        assumptions=assumptions,
+        assumptions=[_ASSUMPTIONS[kind]] if requests and kind in _ASSUMPTIONS else [],
         status="analysis-failure" if failed else "ok",
         compare_path=options.compare,
     )
     rendered = render_report(report)
-    if options.out:
-        with open(options.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-    else:
+    try:
+        _write_outputs(options, rendered, requests, tables, system.chart.dimension)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    if not options.out:
         stdout.write(rendered)
     return 2 if failed else 0
 

@@ -388,8 +388,6 @@ class DenseSolution:
         """The state (dim,) at a scalar t, or the states (dim, m) at m times."""
         import numpy as np
 
-        if isinstance(t, float):
-            return np.array(self.at(t))
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.h) - 1)
         h = self.h[i]

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
 from . import __version__
+from .linfact import ExactMatrix
 
 SCHEMA_VERSION = "1"
 
@@ -21,39 +21,14 @@ def file_digest(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
-def fraction_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def matrix_to_dict(matrix) -> dict:
-    out = {"entries": [[fraction_str(x) for x in row] for row in matrix.entries]}
+    """An ExactMatrix as rational strings (with its log scale, if any); a float array as floats."""
+    if not isinstance(matrix, ExactMatrix):
+        return {"entries_float": [[float(x) for x in row] for row in matrix]}
+    out = {"entries": [[str(x) for x in row] for row in matrix.entries]}
     if matrix.log_scale:
-        out["log_scale"] = fraction_str(matrix.log_scale)
+        out["log_scale"] = str(matrix.log_scale)
     return out
-
-
-def float_matrix_to_dict(matrix) -> dict:
-    return {"entries_float": [[float(x) for x in row] for row in matrix]}
-
-
-def period_table_to_dict(table) -> dict:
-    return {
-        "records": [
-            {
-                "seed": [float(x) for x in r.seed],
-                "level": r.level,
-                "energy": r.energy,
-                "period": r.period,
-                "converged": r.converged,
-                "ambiguous": r.ambiguous,
-                "drift": r.drift,
-                "reason": r.reason,
-                "min_distance": r.min_distance,
-            }
-            for r in table.records
-        ],
-        "notes": list(table.notes),
-    }
 
 
 def build_report(subcommand, input_path, seed, parameters, results, assumptions,

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+from ._linalg import integer_matrix
 
 
 def row_hermite_normal_form(matrix):
@@ -165,12 +166,9 @@ def resonance_lattice(spec: FrequencySpec) -> ResonanceLattice:
     """
     n = spec.n
     m = len(spec.basis)
-    # equations indexed by basis symbol: sum_i k_i C_ij = 0; clear denominators
-    rows = []
-    for j in range(m):
-        denominators = [spec.coeffs[i][j].denominator for i in range(n)]
-        scale = lcm(*denominators) if len(denominators) > 1 else denominators[0]
-        rows.append([int(spec.coeffs[i][j] * scale) for i in range(n)])
+    # equations indexed by basis symbol: sum_i k_i C_ij = 0; clearing denominators scales
+    # an equation, which leaves the kernel alone
+    rows, _ = integer_matrix([[spec.coeffs[i][j] for i in range(n)] for j in range(m)])
     basis = integer_kernel(rows, ncols=n)
     lattice = ResonanceLattice(basis=tuple(tuple(row) for row in basis), n=n)
     for row in lattice.basis:

@@ -20,6 +20,7 @@ from geoham.cli import _build_argument_parser, run
 from geoham.expr import Chart, parse_expression
 from geoham.linfact import ExactMatrix, skew_constraint_kernel
 from geoham.sysfile import load_system_file, parse_form_literal, parse_vector_field_literal
+from geoham.torus import INDEPENDENCE_ASSUMPTION
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -520,6 +521,8 @@ def test_usage_error_then_valid_run_in_one_process(capsys):
 def test_missing_file_exit_code():
     code, _ = run_cli("verify", "/nonexistent/path.sys")
     assert code == 1
+    code, _ = run_cli("period", fixture("harmonic.sys"), "--compare", "")
+    assert code == 1
 
 
 def test_out_flag_writes_report(tmp_path):
@@ -529,6 +532,90 @@ def test_out_flag_writes_report(tmp_path):
     assert text == ""
     parsed = json.loads(out.read_text())
     assert parsed["subcommand"] == "resonance"
+
+
+@pytest.mark.parametrize(
+    "subcommand,name,option,target",
+    [("verify", "oscillator_r4.sys", "--out", "missing/report.json"),
+     ("period", "harmonic.sys", "--csv-dir", "a-file")],
+    ids=["out-into-a-missing-directory", "csv-dir-naming-a-file"],
+)
+def test_unwritable_output_exits_1_without_a_traceback(tmp_path, subcommand, name, option, target):
+    (tmp_path / "a-file").write_text("")
+    result = run_subprocess(subcommand, fixture(name), option, str(tmp_path / target), timeout=10)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("cannot write output: ")
+
+
+def test_compare_outside_period_is_a_usage_error():
+    result = run_subprocess("verify", fixture("oscillator_r4.sys"), "--compare",
+                            fixture("harmonic.sys"), timeout=5)
+    assert result.returncode == 2
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert "--compare is for period only" in result.stderr
+
+
+# -- the exit status and the assumptions follow from the results -------------------
+
+def test_only_the_failing_factorization_carries_an_error(tmp_path):
+    path = tmp_path / "two.sys"
+    path.write_text(
+        "chart q1, q2, p1, p2\n"
+        "matrix A = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]\n"
+        "matrix I = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n"
+        "factorize linear : A\n"
+        "factorize identity : I\n"
+    )
+    code, report = run_json("factorize", str(path))
+    assert code == 2
+    assert report["status"] == "analysis-failure"
+    linear, identity = report["results"]
+    assert "error" not in linear and linear["factorization"] is not None
+    assert identity["error"] == "no skew solution" and identity["factorization"] is None
+    assert report["assumptions"] == []
+
+
+def test_matrix_altgen_without_a_factorization_reports_its_error(tmp_path):
+    path = tmp_path / "identity-altgen.sys"
+    path.write_text("chart x1, x2\nmatrix I = [[1, 0], [0, 1]]\n"
+                    "altgen exp : matrix=I k=1 lam=-1/2\n")
+    code, report = run_json("altgen", str(path))
+    assert code == 2
+    assert report["status"] == "analysis-failure"
+    [result] = report["results"]
+    assert result == {"request": "exp", "kind": "altgen", "pipeline": "matrix-symmetry",
+                      "error": "no skew solution"}
+
+
+def test_compare_whose_table_fails_the_dependence_test_reports_an_error(tmp_path):
+    # an asymmetric double well: at energy 1 the two wells are separate orbits with
+    # periods of about 1.08 and 1.42, so the first table has no single period per level
+    path = tmp_path / "wells.sys"
+    path.write_text("chart q, p\nscalar H = p^2/2 + 16*q^2*(q - 1)^2*(1 + q^2)\n"
+                    "period wells : H energies=[1] seeds=8\n")
+    code, report = run_json("period", str(path), "--compare", fixture("harmonic.sys"))
+    assert code == 2
+    assert report["status"] == "analysis-failure"
+    assert report["results"][0]["dependence"]["dependent"] is False
+    assert "error" not in report["results"][0]
+    assert report["results"][1] == {
+        "request": "wells-vs-scan", "kind": "obstruction",
+        "error": "first table fails the energy-period dependence test",
+    }
+
+
+def test_compare_against_a_file_without_a_period_request_exits_2(capsys):
+    code, text = run_cli("period", fixture("harmonic.sys"), "--compare", fixture("identity.sys"))
+    assert code == 2 and text == ""
+    assert "needs a period request in both files" in capsys.readouterr().err
+
+
+def test_resonance_states_the_independence_assumption_once():
+    code, report = run_json("resonance", fixture("resonance.sys"))
+    assert code == 0
+    assert len(report["results"]) == 4
+    assert report["assumptions"] == [INDEPENDENCE_ASSUMPTION]
 
 
 @pytest.mark.parametrize(

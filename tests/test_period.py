@@ -459,7 +459,7 @@ def test_distance_and_the_scalar_path_have_the_bits_of_the_array_path(system, x0
     rng = random.Random(11)
     for t in [rng.uniform(-1.0, 31.0) for _ in range(1000)]:
         row = solution(np.array(t))
-        assert solution.at(t) == row.tolist()
+        assert solution.at(t) == row.tolist() == solution(t).tolist()
         expected = float(np.linalg.norm(solution(t) - x0))
         assert period._distance(solution, x0, t) == expected
         assert expected == float(np.linalg.norm(row - x0))

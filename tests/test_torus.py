@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geoham.torus import (
     FrequencySpec,
@@ -152,6 +153,25 @@ def test_lattice_saturation_against_brute_force_random():
         lattice = resonance_lattice(spec)
         for k in brute_force_relations(values, bound=4):
             assert lattice.contains(k)
+
+
+@st.composite
+def frequency_specs(draw):
+    """Up to six frequencies over up to three symbols, with small rational coefficients."""
+    m = draw(st.integers(1, 3))
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = st.lists(coefficient, min_size=m, max_size=m).filter(any)
+    return FrequencySpec([f"b{j}" for j in range(m)], draw(st.lists(rows, min_size=1, max_size=6)))
+
+
+@settings(max_examples=200)
+@given(frequency_specs(), st.data())
+def test_lattice_is_unchanged_when_a_basis_column_is_scaled(spec, data):
+    j = data.draw(st.integers(0, len(spec.basis) - 1))
+    c = data.draw(st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30))
+    scaled = FrequencySpec(spec.basis, [[x * c if k == j else x for k, x in enumerate(row)]
+                                        for row in spec.coeffs])
+    assert resonance_lattice(scaled).basis == resonance_lattice(spec).basis
 
 
 def test_frequency_spec_validation():
