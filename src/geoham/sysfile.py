@@ -34,15 +34,12 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import ParseError
-from .expr import Chart, parse_expression
+from .expr import Chart, _is_identifier, parse_expression
 from .geom import DifferentialForm, Tensor11, VectorField
 from .linfact import ExactMatrix
 from .torus import FrequencySpec
 
-OBJECT_KINDS = ("scalar", "hamiltonian", "form", "vectorfield", "tensor", "matrix", "frequencies")
 REQUEST_KINDS = ("verify", "factorize", "altgen", "resonance", "period", "normalform", "validate")
-
-_BRACKETS = {"(": ")", "[": "]", "{": "}"}
 
 
 @dataclass
@@ -65,37 +62,28 @@ class SystemFile:
     def requests_of(self, kind):
         return [r for r in self.requests if r.kind == kind]
 
-    def object(self, name, kinds, line=None):
-        if name not in self.objects:
-            raise ParseError(f"unknown object name {name!r}", line=line)
-        kind, value = self.objects[name]
-        if kind == "hamiltonian":
-            kind = "scalar"
-        if kind not in kinds:
-            raise ParseError(
-                f"object {name!r} has kind {kind}, expected one of {kinds}", line=line
-            )
-        return value
+
+def _depths(text, depth=0, opens="([{", closes=")]}"):
+    """The bracket depth after each character of ``text``, counted from ``depth``."""
+    for c in text:
+        if c in opens:
+            depth += 1
+        elif c in closes:
+            depth -= 1
+        yield depth
 
 
 def split_top_level(text, separator, line=None):
-    """Split on a separator character, ignoring bracketed regions."""
+    """Split on a separator character outside brackets; the parts are stripped."""
     parts = []
-    depth = 0
-    current = []
-    for c in text:
-        if c in _BRACKETS:
-            depth += 1
-        elif c in _BRACKETS.values():
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets", line=line)
-        if c == separator and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(c)
-    parts.append("".join(current))
+    start = 0
+    for i, depth in enumerate(_depths(text)):
+        if depth < 0:
+            raise ParseError("unbalanced brackets", line=line)
+        if depth == 0 and text[i] == separator:
+            parts.append(text[start:i].strip())
+            start = i + 1
+    parts.append(text[start:].strip())
     return parts
 
 
@@ -107,14 +95,8 @@ def parse_nested_list(text, line=None):
     inner = text[1:-1].strip()
     if not inner:
         return []
-    out = []
-    for part in split_top_level(inner, ",", line):
-        part = part.strip()
-        if part.startswith("["):
-            out.append(parse_nested_list(part, line=line))
-        else:
-            out.append(part)
-    return out
+    return [parse_nested_list(part, line) if part.startswith("[") else part
+            for part in split_top_level(inner, ",", line)]
 
 
 def parse_form_literal(text, chart: Chart, line=None) -> DifferentialForm:
@@ -130,55 +112,49 @@ def parse_form_literal(text, chart: Chart, line=None) -> DifferentialForm:
     if not 0 <= degree <= chart.dimension:
         raise ParseError(f"degree {degree} out of range for dimension {chart.dimension}",
                          line=line)
-    body = body.strip()
-    if body == "0" or not body:
+    if body.strip() in ("0", ""):
         return DifferentialForm.zero(chart, degree)
     coeffs = {}
     for term in split_top_level(body, "+", line):
-        term = term.strip()
         if not term.startswith("("):
             raise ParseError(f"form term must start with a parenthesized coefficient: {term!r}",
                              line=line)
-        depth = 0
-        close = None
-        for i, c in enumerate(term):
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
+        # Only parentheses delimit the coefficient; a '[' or '{' inside it is the
+        # expression parser's to reject.
+        close = next((i for i, depth in enumerate(_depths(term, 0, "(", ")")) if depth == 0),
+                     None)
         if close is None:
             raise ParseError(f"unbalanced parentheses in form term {term!r}", line=line)
         coeff = parse_expression(term[1:close], chart, line=line)
         basis = term[close + 1:].strip()
-        if degree == 0:
-            if basis:
-                raise ParseError("0-form terms cannot carry differentials", line=line)
-            idx = ()
-        else:
-            pieces = [p.strip() for p in basis.split("^")]
-            if len(pieces) != degree or any(not p.startswith("d") for p in pieces):
-                raise ParseError(
-                    f"expected {degree} wedge factors like 'dq1^dp1', got {basis!r}", line=line
-                )
-            idx = tuple(chart.coordinate_axis(p[1:]) for p in pieces)
+        if degree == 0 and basis:
+            raise ParseError("0-form terms cannot carry differentials", line=line)
+        pieces = [p.strip() for p in basis.split("^")] if degree else []
+        if len(pieces) != degree or any(not p.startswith("d") for p in pieces):
+            raise ParseError(
+                f"expected {degree} wedge factors like 'dq1^dp1', got {basis!r}", line=line
+            )
+        idx = tuple(chart.coordinate_axis(p[1:]) for p in pieces)
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ParseError(f"wedge factors must be strictly increasing in {basis!r}", line=line)
-        prev = coeffs.get(idx)
-        coeffs[idx] = coeff if prev is None else prev + coeff
+        coeffs[idx] = coeffs[idx] + coeff if idx in coeffs else coeff
     return DifferentialForm(chart, degree, coeffs)
+
+
+def _checked(build, line):
+    """``build()``, with the ValueError of a constructor reported as a located ParseError."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from exc
 
 
 def parse_vector_field_literal(text, chart: Chart, line=None) -> VectorField:
     leaves = parse_nested_list(text, line=line)
     if any(isinstance(x, list) for x in leaves):
         raise ParseError("vector field entries must be expressions", line=line)
-    try:
-        return VectorField(chart, [parse_expression(x, chart, line=line) for x in leaves])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from exc
+    return _checked(lambda: VectorField(chart, [parse_expression(x, chart, line=line)
+                                                for x in leaves]), line)
 
 
 def _rows(text, what, line=None):
@@ -191,361 +167,297 @@ def _rows(text, what, line=None):
 
 def parse_tensor_literal(text, chart: Chart, line=None) -> Tensor11:
     rows = _rows(text, "tensor", line)
-    try:
-        return Tensor11(chart, [[parse_expression(x, chart, line=line) for x in row]
-                                for row in rows])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from exc
+    return _checked(lambda: Tensor11(chart, [[parse_expression(x, chart, line=line) for x in row]
+                                             for row in rows]), line)
 
 
-def _fraction(text, line=None) -> Fraction:
+def _number(read, text, line=None):
+    """``text`` read by ``int`` or ``Fraction``; a literal it rejects is a ParseError."""
     try:
-        return Fraction(text.strip())
+        return read(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}", line=line) from exc
-
-
-def _integer(text, line=None) -> int:
-    try:
-        return int(text.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad integer literal {text!r}", line=line) from exc
+        what = "integer" if read is int else "rational"
+        raise ParseError(f"bad {what} literal {text!r}", line=line) from exc
 
 
 def _float(text, what, line=None) -> float:
     """A rational literal rounded to a float; one beyond the float range is a ParseError."""
     try:
-        return float(_fraction(text, line))
+        return float(_number(Fraction, text, line))
     except OverflowError:
         raise ParseError(f"{what} {text.strip()!r} is beyond the float range", line=line) from None
 
 
 def parse_matrix_literal(text, line=None) -> ExactMatrix:
     rows = _rows(text, "matrix", line)
-    try:
-        return ExactMatrix([[_fraction(x, line=line) for x in row] for row in rows])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from exc
+    return _checked(lambda: ExactMatrix([[_number(Fraction, x, line) for x in row]
+                                         for row in rows]), line)
 
 
 def parse_frequencies_literal(text, line=None) -> FrequencySpec:
     text = text.strip()
     if not text.startswith("{") or not text.endswith("}"):
         raise ParseError("frequencies literal must be brace-enclosed", line=line)
-    basis = None
-    coeffs = None
-    for clause in split_top_level(text[1:-1], ";", line):
-        clause = clause.strip()
-        if not clause:
-            continue
+    basis = coeffs = None
+    for clause in filter(None, split_top_level(text[1:-1], ";", line)):
         key, _, value = clause.partition(":")
         key = key.strip()
         if key == "basis":
-            basis = [str(x).strip() for x in parse_nested_list(value.strip(), line=line)]
+            basis = [str(x).strip() for x in parse_nested_list(value, line=line)]
         elif key == "omega":
-            coeffs = [[_fraction(x, line=line) for x in row]
-                      for row in _rows(value.strip(), "omega", line)]
+            coeffs = [[_number(Fraction, x, line) for x in row]
+                      for row in _rows(value, "omega", line)]
         else:
             raise ParseError(f"unknown frequencies key {key!r}", line=line)
     if basis is None or coeffs is None:
         raise ParseError("frequencies literal needs 'basis' and 'omega' clauses", line=line)
-    try:
-        return FrequencySpec(basis, coeffs)
-    except ValueError as exc:
-        raise ParseError(str(exc), line=line) from exc
+    return _checked(lambda: FrequencySpec(basis, coeffs), line)
+
+
+_OBJECT_PARSERS = {
+    "scalar": parse_expression,
+    "hamiltonian": parse_expression,
+    "form": parse_form_literal,
+    "vectorfield": parse_vector_field_literal,
+    "tensor": parse_tensor_literal,
+    "matrix": lambda text, chart, line: parse_matrix_literal(text, line),
+    "frequencies": lambda text, chart, line: parse_frequencies_literal(text, line),
+}
+OBJECT_KINDS = tuple(_OBJECT_PARSERS)
 
 
 def _logical_lines(text):
-    """Merge bracket-continued lines; yields (line_number, content)."""
+    """Merge bracket-continued lines; yields (line_number, content).
+
+    A bracket closed without an opener is an error at its line, and one
+    still open at the end of the file an error at the line where it opened.
+    """
     pending = ""
-    pending_line = None
     depth = 0
     for number, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("#", 1)[0].rstrip()
-        if not code.strip() and depth == 0:
+        code = raw.split("#", 1)[0].strip()
+        if not code and not pending:
             continue
         if pending:
-            pending += " " + code.strip()
+            pending += " " + code
         else:
-            pending = code.strip()
-            pending_line = number
-        depth = 0
-        for c in pending:
-            if c in _BRACKETS:
-                depth += 1
-            elif c in _BRACKETS.values():
-                depth -= 1
+            pending, start = code, number
+        for depth in _depths(code, depth):
+            if depth < 0:
+                raise ParseError("unbalanced brackets", line=number)
         if depth == 0:
-            if pending:
-                yield pending_line, pending
+            yield start, pending
             pending = ""
-            pending_line = None
     if pending:
-        yield pending_line, pending
+        raise ParseError("unclosed bracket", line=start)
 
 
-def _names_list(text, line=None):
-    return [n.strip() for n in text.replace(",", " ").split() if n.strip()]
+class _Arguments:
+    """One request's arguments, split once into ``positional`` tokens and
+    ``keyword`` values, with the checks that each kind of request makes
+    on them (the methods named after the kinds)."""
 
-
-class _RequestParser:
-    """Resolves request argument lines against the declared objects."""
-
-    def __init__(self, system: SystemFile):
+    def __init__(self, system: SystemFile, rest, line):
         self.system = system
-
-    def parse(self, kind, name, rest, line) -> Request:
-        handler = getattr(self, f"_{kind}")
-        objects, options = handler(rest, line)
-        return Request(kind=kind, name=name, objects=objects, options=options, line=line)
-
-    @staticmethod
-    def _split_args(rest, line):
-        positional = []
-        keyword = {}
+        self.rest = rest
+        self.line = line
+        self.positional = []
+        self.keyword = {}
         for token in split_top_level(rest, " ", line):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" in token and not token.startswith("["):
-                key, _, value = token.partition("=")
-                keyword[key.strip()] = value.strip()
-            else:
-                positional.append(token)
-        return positional, keyword
+            key, equals, value = token.partition("=")
+            if equals and not token.startswith("["):
+                self.keyword[key.strip()] = value.strip()
+            elif token:
+                self.positional.append(token)
 
-    def _verify(self, rest, line):
-        args, kwargs = self._split_args(rest, line)
-        if len(args) != 3 or kwargs:
-            raise ParseError("verify needs: <field> <2-form> <scalar>", line=line)
-        return {
-            "field": self.system.object(args[0], ("vectorfield",), line),
-            "form": self._form(args[1], 2, line),
-            "hamiltonian": self.system.object(args[2], ("scalar",), line),
-        }, {}
+    def error(self, message):
+        return ParseError(message, line=self.line)
 
-    def _form(self, name, degree, line):
-        form = self.system.object(name, ("form",), line)
+    def exactly(self, count, usage):
+        if len(self.positional) != count or self.keyword:
+            raise self.error(usage)
+        return self.positional
+
+    def only_keys(self, kind, allowed):
+        unknown = set(self.keyword) - allowed
+        if unknown:
+            raise self.error(f"unknown {kind} keys {sorted(unknown)}")
+
+    def object(self, name, kind):
+        if name not in self.system.objects:
+            raise self.error(f"unknown object name {name!r}")
+        declared, value = self.system.objects[name]
+        if declared == "hamiltonian":
+            declared = "scalar"
+        if declared != kind:
+            raise self.error(f"object {name!r} has kind {declared}, expected one of {(kind,)}")
+        return value
+
+    def form(self, name, degree):
+        form = self.object(name, "form")
         if form.degree != degree:
-            raise ParseError(f"form {name!r} has degree {form.degree}, expected {degree}",
-                             line=line)
+            raise self.error(f"form {name!r} has degree {form.degree}, expected {degree}")
         return form
 
-    def _factorize(self, rest, line):
-        args, kwargs = self._split_args(rest, line)
-        if len(args) != 1 or kwargs:
-            raise ParseError("factorize needs: <matrix>", line=line)
-        return {"matrix": self.system.object(args[0], ("matrix",), line)}, {}
-
-    def _altgen(self, rest, line):
-        args, kwargs = self._split_args(rest, line)
-        if args:
-            raise ParseError("altgen takes only key=value arguments", line=line)
-        if "matrix" in kwargs:
-            unknown = set(kwargs) - {"matrix", "k", "lam"}
-            if unknown:
-                raise ParseError(f"unknown altgen keys {sorted(unknown)}", line=line)
-            objects = {"matrix": self.system.object(kwargs["matrix"], ("matrix",), line)}
-            options = {
-                "k": _integer(kwargs.get("k", "1"), line),
-                "lam": _fraction(kwargs.get("lam", "1"), line),
-            }
-            if options["k"] < 1:
-                raise ParseError(f"altgen k must be a positive integer, got {options['k']}",
-                                 line=line)
-            return objects, options
-        if "tensor" in kwargs:
-            unknown = set(kwargs) - {"tensor", "invariant", "field"}
-            if unknown or "invariant" not in kwargs or "field" not in kwargs:
-                raise ParseError(
-                    "tensor altgen needs tensor=<T> invariant=<F> field=<G>", line=line
-                )
-            objects = {
-                "tensor": self.system.object(kwargs["tensor"], ("tensor",), line),
-                "invariant": self.system.object(kwargs["invariant"], ("scalar",), line),
-                "field": self.system.object(kwargs["field"], ("vectorfield",), line),
-            }
-            return objects, {}
-        raise ParseError("altgen needs either matrix=... or tensor=...", line=line)
-
-    def _resonance(self, rest, line):
-        args, kwargs = self._split_args(rest, line)
-        if len(args) != 1 or kwargs:
-            raise ParseError("resonance needs: <frequencies>", line=line)
-        return {"spec": self.system.object(args[0], ("frequencies",), line)}, {}
-
-    def _period(self, rest, line):
-        args, kwargs = self._split_args(rest, line)
-        if len(args) != 1:
-            raise ParseError("period needs: <scalar> energies=[...] seeds=<n>", line=line)
-        if "energies" not in kwargs:
-            raise ParseError("period needs energies=[...]", line=line)
-        entries = parse_nested_list(kwargs["energies"], line=line)
+    def flat_list(self, key, what):
+        entries = parse_nested_list(self.keyword[key], line=self.line)
         if any(isinstance(x, list) for x in entries):
-            raise ParseError("energies must be a flat list of rationals", line=line)
-        energies = [_float(x, "energy", line) for x in entries]
-        seeds = _integer(kwargs.get("seeds", "3"), line)
-        if seeds < 1:
-            raise ParseError(f"period seeds must be a positive integer, got {seeds}", line=line)
-        unknown = set(kwargs) - {"energies", "seeds"}
-        if unknown:
-            raise ParseError(f"unknown period keys {sorted(unknown)}", line=line)
-        return (
-            {"hamiltonian": self.system.object(args[0], ("scalar",), line)},
-            {"energies": energies, "seeds": seeds},
-        )
+            raise self.error(f"{key} must be a flat list of {what}")
+        return entries
 
-    def _normalform(self, rest, line):
-        args, kwargs = self._split_args(rest, line)
-        if len(args) != 1 or "integrals" not in kwargs or "fields" not in kwargs:
-            raise ParseError(
-                "normalform needs: <field> integrals=[...] fields=[...] [nu=[...]]", line=line
-            )
-        unknown = set(kwargs) - {"integrals", "fields", "nu"}
-        if unknown:
-            raise ParseError(f"unknown normalform keys {sorted(unknown)}", line=line)
-        integrals = [
-            self.system.object(n, ("scalar",), line)
-            for n in parse_nested_list(kwargs["integrals"], line=line)
-        ]
-        fields = [
-            self.system.object(n, ("vectorfield",), line)
-            for n in parse_nested_list(kwargs["fields"], line=line)
-        ]
+    def verify(self):
+        field, form, hamiltonian = self.exactly(3, "verify needs: <field> <2-form> <scalar>")
+        return {
+            "field": self.object(field, "vectorfield"),
+            "form": self.form(form, 2),
+            "hamiltonian": self.object(hamiltonian, "scalar"),
+        }, {}
+
+    def factorize(self):
+        (matrix,) = self.exactly(1, "factorize needs: <matrix>")
+        return {"matrix": self.object(matrix, "matrix")}, {}
+
+    def resonance(self):
+        (spec,) = self.exactly(1, "resonance needs: <frequencies>")
+        return {"spec": self.object(spec, "frequencies")}, {}
+
+    def altgen(self):
+        if self.positional:
+            raise self.error("altgen takes only key=value arguments")
+        if "matrix" in self.keyword:
+            self.only_keys("altgen", {"matrix", "k", "lam"})
+            objects = {"matrix": self.object(self.keyword["matrix"], "matrix")}
+            k = _number(int, self.keyword.get("k", "1"), self.line)
+            lam = _number(Fraction, self.keyword.get("lam", "1"), self.line)
+            if k < 1:
+                raise self.error(f"altgen k must be a positive integer, got {k}")
+            return objects, {"k": k, "lam": lam}
+        if "tensor" in self.keyword:
+            if set(self.keyword) != {"tensor", "invariant", "field"}:
+                raise self.error("tensor altgen needs tensor=<T> invariant=<F> field=<G>")
+            return {
+                "tensor": self.object(self.keyword["tensor"], "tensor"),
+                "invariant": self.object(self.keyword["invariant"], "scalar"),
+                "field": self.object(self.keyword["field"], "vectorfield"),
+            }, {}
+        raise self.error("altgen needs either matrix=... or tensor=...")
+
+    def period(self):
+        if len(self.positional) != 1:
+            raise self.error("period needs: <scalar> energies=[...] seeds=<n>")
+        if "energies" not in self.keyword:
+            raise self.error("period needs energies=[...]")
+        energies = [_float(x, "energy", self.line)
+                    for x in self.flat_list("energies", "rationals")]
+        seeds = _number(int, self.keyword.get("seeds", "3"), self.line)
+        if seeds < 1:
+            raise self.error(f"period seeds must be a positive integer, got {seeds}")
+        self.only_keys("period", {"energies", "seeds"})
+        return ({"hamiltonian": self.object(self.positional[0], "scalar")},
+                {"energies": energies, "seeds": seeds})
+
+    def normalform(self):
+        if (len(self.positional) != 1 or "integrals" not in self.keyword
+                or "fields" not in self.keyword):
+            raise self.error("normalform needs: <field> integrals=[...] fields=[...] [nu=[...]]")
+        self.only_keys("normalform", {"integrals", "fields", "nu"})
+        integrals = [self.object(n, "scalar") for n in self.flat_list("integrals", "names")]
+        fields = [self.object(n, "vectorfield") for n in self.flat_list("fields", "names")]
         if not integrals or len(integrals) != len(fields):
-            raise ParseError("normalform needs non-empty integral and field lists of equal length",
-                             line=line)
-        objects = {
-            "field": self.system.object(args[0], ("vectorfield",), line),
-            "integrals": integrals,
-            "fields": fields,
-        }
-        if "nu" in kwargs:
-            objects["nu"] = [
-                parse_expression(x, self.system.chart, line=line)
-                for x in parse_nested_list(kwargs["nu"], line=line)
-            ]
-            if len(objects["nu"]) != len(fields):
-                raise ParseError(f"normalform nu needs one coefficient per field, "
-                                 f"got {len(objects['nu'])} for {len(fields)}", line=line)
+            raise self.error("normalform needs non-empty integral and field lists of equal length")
+        objects = {"field": self.object(self.positional[0], "vectorfield"),
+                   "integrals": integrals, "fields": fields}
+        if "nu" in self.keyword:
+            nu = [parse_expression(x, self.system.chart, line=self.line)
+                  for x in self.flat_list("nu", "expressions")]
+            if len(nu) != len(fields):
+                raise self.error(f"normalform nu needs one coefficient per field, "
+                                 f"got {len(nu)} for {len(fields)}")
+            objects["nu"] = nu
         return objects, {}
 
-    def _validate(self, rest, line):
-        args, kwargs = self._split_args(rest, line)
-        if kwargs or not args:
-            raise ParseError(
-                "validate needs: tangent <tensor> <field> | cotangent <form> <field> | linear <field>",
-                line=line,
-            )
-        subkind = args[0]
-        if subkind == "tangent" and len(args) == 3:
-            objects = {
-                "tensor": self.system.object(args[1], ("tensor",), line),
-                "delta": self.system.object(args[2], ("vectorfield",), line),
-            }
-        elif subkind == "cotangent" and len(args) == 3:
-            objects = {
-                "one_form": self._form(args[1], 1, line),
-                "delta": self.system.object(args[2], ("vectorfield",), line),
-            }
-        elif subkind == "linear" and len(args) == 2:
-            objects = {"delta": self.system.object(args[1], ("vectorfield",), line)}
+    def validate(self):
+        if self.keyword or not self.positional:
+            raise self.error("validate needs: tangent <tensor> <field> "
+                             "| cotangent <form> <field> | linear <field>")
+        subkind, *names = self.positional
+        if subkind == "tangent" and len(names) == 2:
+            objects = {"tensor": self.object(names[0], "tensor"),
+                       "delta": self.object(names[1], "vectorfield")}
+        elif subkind == "cotangent" and len(names) == 2:
+            objects = {"one_form": self.form(names[0], 1),
+                       "delta": self.object(names[1], "vectorfield")}
+        elif subkind == "linear" and len(names) == 1:
+            objects = {"delta": self.object(names[0], "vectorfield")}
         else:
-            raise ParseError(f"bad validate request {rest!r}", line=line)
+            raise self.error(f"bad validate request {self.rest!r}")
         return objects, {"structure": subkind}
+
+
+def _name(name, what, line):
+    """An object or request name: an identifier, by the rule for chart symbols."""
+    if not _is_identifier(name):
+        raise ParseError(f"invalid {what} name {name!r}", line=line)
+    return name
 
 
 def parse_system_file(text: str, path: str = "<string>") -> SystemFile:
     """Parse a system-definition file; raises :class:`ParseError` with
     line information on any defect, including unresolved names."""
-    chart_names = None
-    chart_line = None
+    chart = None
     constants = []
-    constant_values = {}
-    objects_seen_before_constants = False
-    system = None
-    pending_requests = []
-
-    def new_system():
-        try:
-            chart = Chart(chart_names, constants=constants)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=chart_line) from exc
-        return SystemFile(path=path, chart=chart, objects={}, constant_values=dict(constant_values))
-
+    objects = {}
+    requests = []
     for line, content in _logical_lines(text):
         head, _, rest = content.partition(" ")
         head = head.strip()
-        rest = rest.strip()
         if head == "chart":
-            if chart_names is not None:
+            if chart is not None:
                 raise ParseError("only one chart per file", line=line)
-            chart_names = _names_list(rest, line)
-            chart_line = line
-            if not chart_names:
+            names = rest.replace(",", " ").split()
+            if not names:
                 raise ParseError("chart needs coordinate names", line=line)
-            continue
-        if head == "constants":
-            if chart_names is None:
+            chart = _checked(lambda: Chart(names), line)
+        elif head == "constants":
+            if chart is None:
                 raise ParseError("constants must follow the chart declaration", line=line)
-            if objects_seen_before_constants:
+            if objects:
                 raise ParseError("constants must be declared before objects", line=line)
-            for entry in split_top_level(rest, ",", line):
-                entry = entry.strip()
-                if not entry:
-                    continue
+            for entry in filter(None, split_top_level(rest, ",", line)):
                 name, _, value = entry.partition("=")
-                name = name.strip()
-                constants.append(name)
-                constant_values[name] = _fraction(value, line) if value.strip() else Fraction(1)
-            continue
-        if head in OBJECT_KINDS:
-            if chart_names is None:
+                constants.append((name.strip(),
+                                  _number(Fraction, value, line) if value.strip() else Fraction(1)))
+            chart = _checked(lambda: Chart(chart.names, [name for name, _ in constants]), line)
+        elif head in _OBJECT_PARSERS:
+            if chart is None:
                 raise ParseError("chart must be declared before objects", line=line)
-            if system is None:
-                system = new_system()
-            objects_seen_before_constants = True
             name, _, value = rest.partition("=")
             name = name.strip()
             value = value.strip()
             if not name or not value:
                 raise ParseError(f"expected '{head} <name> = <value>'", line=line)
-            if name in system.objects:
+            if _name(name, "object", line) in objects:
                 raise ParseError(f"duplicate object name {name!r}", line=line)
-            if head in ("scalar", "hamiltonian"):
-                parsed = parse_expression(value, system.chart, line=line)
-            elif head == "form":
-                parsed = parse_form_literal(value, system.chart, line=line)
-            elif head == "vectorfield":
-                parsed = parse_vector_field_literal(value, system.chart, line=line)
-            elif head == "tensor":
-                parsed = parse_tensor_literal(value, system.chart, line=line)
-            elif head == "matrix":
-                parsed = parse_matrix_literal(value, line=line)
-            else:
-                parsed = parse_frequencies_literal(value, line=line)
-            system.objects[name] = (head, parsed)
-            continue
-        if head in REQUEST_KINDS:
-            name, _, args = rest.partition(":")
+            objects[name] = (head, _OBJECT_PARSERS[head](value, chart, line=line))
+        elif head in REQUEST_KINDS:
+            name, colon, args = rest.partition(":")
             name = name.strip()
-            if not name or ":" not in rest:
+            if not name or not colon:
                 raise ParseError(f"expected '{head} <name> : <arguments>'", line=line)
-            pending_requests.append((head, name, args.strip(), line))
-            continue
-        raise ParseError(f"unknown directive {head!r}", line=line)
+            requests.append((head, _name(name, "request", line), args.strip(), line))
+        else:
+            raise ParseError(f"unknown directive {head!r}", line=line)
 
-    if chart_names is None:
+    if chart is None:
         raise ParseError("file declares no chart", line=1)
-    if system is None:
-        system = new_system()
-    parser = _RequestParser(system)
+    system = SystemFile(path=path, chart=chart, objects=objects, constant_values=dict(constants))
     seen = set()
-    for kind, name, args, line in pending_requests:
+    for kind, name, args, line in requests:
         if name in seen:
             raise ParseError(f"duplicate request name {name!r}", line=line)
         seen.add(name)
-        system.requests.append(parser.parse(kind, name, args, line))
+        resolved, options = getattr(_Arguments(system, args, line), kind)()
+        system.requests.append(Request(kind, name, resolved, options, line))
     return system
 
 

@@ -347,6 +347,152 @@ def test_form_degree_and_list_length_are_located_parse_errors(tmp_path, capsys, 
     assert err == f"parse error: {message} at line {body.count(chr(10)) + 4}\n"
 
 
+PRELUDE = ("chart q, p\nscalar H = p^2 + q^2\nvectorfield G = [p, -q]\nform w = 2-form: (1) dq^dp\n"
+           "matrix A = [[0, 1], [-1, 0]]\ntensor T = [[0, 1], [1, 0]]\n"
+           "frequencies nu = { basis: [1]; omega: [[1]] }\n")
+AT_8 = " at line 8"
+
+
+INPUT_LAYER_MESSAGES = [  # (id, input, the stderr line after 'parse error: ')
+    # the file's layout
+    ("no-chart", "# nothing\n", "file declares no chart at line 1"),
+    ("chart-empty", "chart\n", "chart needs coordinate names at line 1"),
+    ("chart-invalid", "chart q, 2p\n", "invalid symbol name '2p' at line 1"),
+    ("chart-twice", PRELUDE + "chart x\n", "only one chart per file" + AT_8),
+    ("constants-first", "constants k\nchart q, p\n",
+     "constants must follow the chart declaration at line 1"),
+    ("constants-late", PRELUDE + "constants k\n",
+     "constants must be declared before objects" + AT_8),
+    ("constants-duplicate", "chart q, p\nconstants k, k\n", "duplicate symbol name 'k' at line 2"),
+    ("constants-shadow-coordinate", "chart q, p\nconstants q = 2\n",
+     "duplicate symbol name 'q' at line 2"),
+    ("constants-invalid", "chart q, p\nconstants 2k = 1\n", "invalid symbol name '2k' at line 2"),
+    ("constants-value", "chart q, p\nconstants k = x\n", "bad rational literal ' x' at line 2"),
+    ("constants-unbalanced", "chart q, p\nconstants k = 1), m\n", "unbalanced brackets at line 2"),
+    ("object-first", "scalar H = 1\n", "chart must be declared before objects at line 1"),
+    ("unknown-directive", PRELUDE + "plot H\n", "unknown directive 'plot'" + AT_8),
+    ("object-shape", PRELUDE + "scalar K\n", "expected 'scalar <name> = <value>'" + AT_8),
+    ("object-duplicate", PRELUDE + "scalar H = 1\n", "duplicate object name 'H'" + AT_8),
+    ("object-name", PRELUDE + "scalar 2K = 1\n", "invalid object name '2K'" + AT_8),
+    ("request-shape", PRELUDE + "verify v G w H\n",
+     "expected 'verify <name> : <arguments>'" + AT_8),
+    ("request-duplicate", PRELUDE + "verify v : G w H\nverify v : G w H\n",
+     "duplicate request name 'v' at line 9"),
+    ("request-name", PRELUDE + "verify v-1 : G w H\n", "invalid request name 'v-1'" + AT_8),
+    # brackets
+    ("unbalanced-line", PRELUDE + "scalar K = p^2 + q^2)\nverify v : G w H\n",
+     "unbalanced brackets" + AT_8),
+    ("unclosed-bracket", PRELUDE + "vectorfield K = [p, -q\nverify v : G w H\n",
+     "unclosed bracket" + AT_8),
+    ("unbalanced-list", PRELUDE + "vectorfield K = [p], [q]\n", "unbalanced brackets" + AT_8),
+    ("not-a-list", PRELUDE + "vectorfield K = p\n", "expected a bracketed list, got 'p'" + AT_8),
+    # object literals
+    ("form-head", PRELUDE + "form K = 2form: 0\n",
+     "form literal must start with '<k>-form:', got '2form'" + AT_8),
+    ("form-degree", PRELUDE + "form K = x-form: 0\n", "bad form degree in 'x-form'" + AT_8),
+    ("form-degree-range", PRELUDE + "form K = 3-form: 0\n",
+     "degree 3 out of range for dimension 2" + AT_8),
+    ("form-term", PRELUDE + "form K = 1-form: dq\n",
+     "form term must start with a parenthesized coefficient: 'dq'" + AT_8),
+    ("form-term-parens", PRELUDE + "form K = 1-form: ((1]) dq\n",
+     "unbalanced parentheses in form term '((1]) dq'" + AT_8),
+    ("form-0-form-differential", PRELUDE + "form K = 0-form: (1) dq\n",
+     "0-form terms cannot carry differentials" + AT_8),
+    ("form-wedge-count", PRELUDE + "form K = 2-form: (1) dq\n",
+     "expected 2 wedge factors like 'dq1^dp1', got 'dq'" + AT_8),
+    ("form-wedge-order", PRELUDE + "form K = 2-form: (1) dp^dq\n",
+     "wedge factors must be strictly increasing in 'dp^dq'" + AT_8),
+    ("vectorfield-nested", PRELUDE + "vectorfield K = [[p], q]\n",
+     "vector field entries must be expressions" + AT_8),
+    ("vectorfield-length", PRELUDE + "vectorfield K = [p]\n",
+     "component count does not match chart dimension" + AT_8),
+    ("tensor-rows", PRELUDE + "tensor K = [0, 1]\n",
+     "tensor literal must be a list of rows of entries" + AT_8),
+    ("tensor-shape", PRELUDE + "tensor K = [[0]]\n",
+     "tensor component matrix must be dim x dim" + AT_8),
+    ("matrix-entry", PRELUDE + "matrix K = [[x]]\n", "bad rational literal 'x'" + AT_8),
+    ("matrix-shape", PRELUDE + "matrix K = [[1, 2]]\n",
+     "entries must form a non-empty square matrix" + AT_8),
+    ("frequencies-braces", PRELUDE + "frequencies K = [1]\n",
+     "frequencies literal must be brace-enclosed" + AT_8),
+    ("frequencies-key", PRELUDE + "frequencies K = { basis: [1]; foo: 1 }\n",
+     "unknown frequencies key 'foo'" + AT_8),
+    ("frequencies-clauses", PRELUDE + "frequencies K = { basis: [1] }\n",
+     "frequencies literal needs 'basis' and 'omega' clauses" + AT_8),
+    ("frequencies-spec", PRELUDE + "frequencies K = { basis: [1, 1]; omega: [[1, 0]] }\n",
+     "basis symbols must be distinct" + AT_8),
+    # requests
+    ("unknown-object", PRELUDE + "verify v : X w H\n", "unknown object name 'X'" + AT_8),
+    ("object-kind", PRELUDE + "factorize f : H\n",
+     "object 'H' has kind scalar, expected one of ('matrix',)" + AT_8),
+    ("verify-usage", PRELUDE + "verify v : G w\n",
+     "verify needs: <field> <2-form> <scalar>" + AT_8),
+    ("factorize-usage", PRELUDE + "factorize f : A A\n", "factorize needs: <matrix>" + AT_8),
+    ("altgen-positional", PRELUDE + "altgen e : A\n",
+     "altgen takes only key=value arguments" + AT_8),
+    ("altgen-matrix-keys", PRELUDE + "altgen e : matrix=A x=1\n",
+     "unknown altgen keys ['x']" + AT_8),
+    ("altgen-k-literal", PRELUDE + "altgen e : matrix=A k=x\n", "bad integer literal 'x'" + AT_8),
+    ("altgen-k-range", PRELUDE + "altgen e : matrix=A k=0\n",
+     "altgen k must be a positive integer, got 0" + AT_8),
+    ("altgen-tensor-usage", PRELUDE + "altgen e : tensor=T field=G\n",
+     "tensor altgen needs tensor=<T> invariant=<F> field=<G>" + AT_8),
+    ("altgen-usage", PRELUDE + "altgen e : k=1\n",
+     "altgen needs either matrix=... or tensor=..." + AT_8),
+    ("resonance-usage", PRELUDE + "resonance r : nu nu\n",
+     "resonance needs: <frequencies>" + AT_8),
+    ("period-usage", PRELUDE + "period s : energies=[1]\n",
+     "period needs: <scalar> energies=[...] seeds=<n>" + AT_8),
+    ("period-energies", PRELUDE + "period s : H seeds=2\n", "period needs energies=[...]" + AT_8),
+    ("period-energies-nested", PRELUDE + "period s : H energies=[[1]]\n",
+     "energies must be a flat list of rationals" + AT_8),
+    ("period-energies-overflow", PRELUDE + "period s : H energies=[1e400]\n",
+     "energy '1e400' is beyond the float range" + AT_8),
+    ("period-seeds", PRELUDE + "period s : H energies=[1] seeds=0\n",
+     "period seeds must be a positive integer, got 0" + AT_8),
+    ("period-keys", PRELUDE + "period s : H energies=[1] x=2\n",
+     "unknown period keys ['x']" + AT_8),
+    ("normalform-usage", PRELUDE + "normalform n : G integrals=[H]\n",
+     "normalform needs: <field> integrals=[...] fields=[...] [nu=[...]]" + AT_8),
+    ("normalform-nested", PRELUDE + "normalform n : G integrals=[[H]] fields=[G]\n",
+     "integrals must be a flat list of names" + AT_8),
+    ("normalform-nu-nested", PRELUDE + "normalform n : G integrals=[H] fields=[G] nu=[[1]]\n",
+     "nu must be a flat list of expressions" + AT_8),
+    ("normalform-keys", PRELUDE + "normalform n : G integrals=[H] fields=[G] x=1\n",
+     "unknown normalform keys ['x']" + AT_8),
+    ("normalform-lengths", PRELUDE + "normalform n : G integrals=[H, H] fields=[G]\n",
+     "normalform needs non-empty integral and field lists of equal length" + AT_8),
+    ("normalform-nu", PRELUDE + "normalform n : G integrals=[H] fields=[G] nu=[1, 2]\n",
+     "normalform nu needs one coefficient per field, got 2 for 1" + AT_8),
+    ("validate-usage", PRELUDE + "validate c : x=1\n",
+     "validate needs: tangent <tensor> <field> | cotangent <form> <field> | linear <field>" + AT_8),
+    ("validate-subkind", PRELUDE + "validate c : tangent T\n",
+     "bad validate request 'tangent T'" + AT_8),
+    ("validate-form-degree", PRELUDE + "validate c : cotangent w G\n",
+     "form 'w' has degree 2, expected 1" + AT_8),
+]
+
+
+@pytest.mark.parametrize("text,message", [case[1:] for case in INPUT_LAYER_MESSAGES],
+                         ids=[case[0] for case in INPUT_LAYER_MESSAGES])
+def test_every_input_layer_message_names_its_line(tmp_path, capsys, text, message):
+    """One input per ParseError raised in sysfile: exit 1 and exactly this stderr line."""
+    code, err = run_text(tmp_path, capsys, "verify", text)
+    assert code == 1
+    assert err == f"parse error: {message}\n"
+
+
+def test_request_name_cannot_escape_the_csv_directory(tmp_path):
+    path = tmp_path / "input.sys"
+    path.write_text("chart q, p\nscalar H = p^2/2 + q^2/2\n"
+                    "period ../escaped : H energies=[1/2] seeds=1\n")
+    out = tmp_path / "out"
+    result = run_subprocess("period", str(path), "--csv-dir", str(out), timeout=10)
+    assert result.returncode == 1
+    assert result.stderr == "parse error: invalid request name '../escaped' at line 3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["input.sys"]
+
+
 def test_constant_that_zeroes_a_denominator_exits_2(tmp_path, capsys):
     text = ("chart q, p\nconstants omega = 0\nscalar H = p^2/2 + q/omega\n"
             "period s : H energies=[1] seeds=1\n")
