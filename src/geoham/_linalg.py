@@ -1,13 +1,15 @@
 """Exact linear algebra over the rationals, computed in integers.
 
 Matrices are lists of row lists; inputs are never mutated.  They are
-scaled to integer matrices, and one fraction-free Gauss–Jordan
-elimination, which keeps every row primitive by dividing out the gcd of
-its entries, serves ``rref``, ``rank``, ``kernel``, ``solve`` and
-``inverse``.  The unique RREF is built at the end, one ``Fraction`` per
-entry.  ``det`` is Bareiss elimination (Math. Comp. 22, 1968).
-``pfaffian`` works over any commutative ring, so the same expansion serves
-integer matrices and matrices of polynomials.
+scaled to integer matrices, and one elimination serves ``rref``,
+``rank``, ``kernel``, ``solve``, ``inverse`` and ``det``: a Bareiss
+forward pass (Math. Comp. 22, 1968), fraction-free with exact division
+by the previous pivot, followed for the RREF by a back-substitution that
+keeps every row primitive.  The unique RREF is built at the end, one
+``Fraction`` per nonzero entry; ``det`` is the sign of the row swaps
+times the last pivot of the forward pass.  ``pfaffian`` works over any
+commutative ring, so the same expansion serves integer matrices and
+matrices of polynomials.
 """
 
 from __future__ import annotations
@@ -28,41 +30,74 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _eliminate(rows):
-    """Fraction-free Gauss–Jordan: (integer rows, pivot columns).
+def _forward(m):
+    """Bareiss's fraction-free forward pass on the integer rows m, in place.
 
-    Row r of the result is a multiple of row r of the RREF, with its
-    pivot at column pivots[r]; the rows past the pivots are zero.
+    Returns (pivot columns, sign of the row swaps, last pivot).  Each entry
+    below the pivot rows is a minor of m, so every division by the previous
+    pivot is exact (Sylvester's identity); columns without a pivot are
+    skipped, and a row whose pivot-column entry is 0 is still scaled.
     """
-    m = [_primitive(row) for row in integer_matrix(rows)[0]]
-    pivots = []
+    pivots, sign, previous = [], 1, 1
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        for i, row in enumerate(m):
-            if i != r and row[c]:
-                g = gcd(prow[c], row[c])
-                a, b = prow[c] // g, row[c] // g
-                m[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        a, prow = m[r][c], m[r][c + 1:]
+        for i in range(r + 1, len(m)):
+            row, b = m[i], m[i][c]
+            if b:
+                row[c:] = [0] + [(a * x - b * y) // previous for x, y in zip(row[c + 1:], prow)]
+            else:
+                row[c + 1:] = [a * x // previous for x in row[c + 1:]]
+        previous = a
         pivots.append(c)
+    return pivots, sign, previous
+
+
+def _eliminate(rows):
+    """Bareiss forward pass, then back-substitution: (integer rows, pivot columns).
+
+    Row r of the result is a multiple of row r of the RREF, with its
+    pivot at column pivots[r]; the rows past the pivots are zero.  Working
+    upward, the rows below r are already zero in every pivot column but
+    their own, so row r is cleared with one common multiplier and only its
+    pivot and the free columns right of it need computing.
+    """
+    m = integer_matrix(rows)[0]
+    pivots = _forward(m)[0]
+    free = sorted(set(range(len(m[0]) if m else 0)) - set(pivots))
+    for r in reversed(range(len(pivots))):
+        row, c = m[r], pivots[r]
+        below = [(row[p], m[s][p], m[s]) for s, p in enumerate(pivots) if s > r and row[p]]
+        scale = lcm(*(q // gcd(b, q) for b, q, _ in below))
+        terms = [(scale * b // q, srow) for b, q, srow in below]
+        new = [0] * len(row)
+        new[c] = scale * row[c]
+        for f in free:
+            if f > c:
+                new[f] = scale * row[f] - sum(k * srow[f] for k, srow in terms)
+        m[r] = _primitive(new)
     return m, pivots
 
 
 def rref(rows):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m, pivots = _eliminate(rows)
+    zero = Fraction(0)
     return [
-        [Fraction(x, row[pivots[r]]) for x in row] if r < len(pivots) else [Fraction(0)] * len(row)
+        [Fraction(x, row[pivots[r]]) if x else zero for x in row] if r < len(pivots)
+        else [zero] * len(row)
         for r, row in enumerate(m)
     ], pivots
 
 
 def rank(rows) -> int:
-    return len(_eliminate(rows)[1])
+    return len(_forward(integer_matrix(rows)[0])[0])
 
 
 def kernel(rows, ncols=None):
@@ -98,23 +133,10 @@ def solve(rows, rhs):
 
 
 def det(rows) -> Fraction:
-    """Determinant by Bareiss elimination; every division in it is exact."""
+    """Determinant: sign · last pivot / dⁿ of the Bareiss pass at full rank, else 0."""
     m, d = integer_matrix(rows)
-    n = len(m)
-    sign, previous = 1, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        a, prow = m[c][c], m[c][c + 1:]
-        for i in range(c + 1, n):
-            b = m[i][c]
-            m[i][c + 1:] = [(a * x - b * y) // previous for x, y in zip(m[i][c + 1:], prow)]
-        previous = a
-    return Fraction(sign * previous, d ** n)
+    pivots, sign, last = _forward(m)
+    return Fraction(sign * last, d ** len(m)) if len(pivots) == len(m) else Fraction(0)
 
 
 def inverse(rows):

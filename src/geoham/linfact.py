@@ -31,6 +31,12 @@ from .expr import Chart, Polynomial
 _FLOAT_TOL = 1e-12
 
 
+def _integer_product(a, b):
+    """The product of two integer matrices given as lists of rows."""
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
+
+
 class ExactMatrix:
     """Square matrix with exact rational entries and an optional
     exponential prefactor: the value represented is e^{log_scale} · entries.
@@ -84,8 +90,7 @@ class ExactMatrix:
             raise ValueError("dimension mismatch")
         a, da = _linalg.integer_matrix(self.entries)
         b, db = _linalg.integer_matrix(other.entries)
-        columns = list(zip(*b))
-        rows = [[Fraction(sum(map(mul, row, col)), da * db) for col in columns] for row in a]
+        rows = [[Fraction(x, da * db) for x in row] for row in _integer_product(a, b)]
         return ExactMatrix(rows, self.log_scale + other.log_scale)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -229,23 +234,28 @@ class OddTraceResult:
 
 
 def odd_trace_test(A: ExactMatrix) -> OddTraceResult:
-    """Check Tr A^(2k+1) = 0 exactly for all odd exponents up to 2n−1."""
-    traces = []
-    power = A
-    square = A @ A
-    exponent = 1
-    while exponent <= 2 * A.n - 1:
-        value = power.trace()
+    """Check Tr A^(2k+1) = 0 exactly for all odd exponents up to 2n−1.
+
+    The powers are taken of the integer matrix a = d·A, and
+    Tr A^k = Tr a^k / d^k.
+    """
+    if A.log_scale != 0:
+        raise ValueError("trace of an exponentially scaled matrix is not rational")
+    a, d = _linalg.integer_matrix(A.entries)
+    square = _integer_product(a, a)
+    traces, power = [], a
+    for exponent in range(1, 2 * A.n, 2):
+        if exponent > 1:
+            power = _integer_product(power, square)
+        value = Fraction(sum(power[i][i] for i in range(A.n)), d ** exponent)
         traces.append((exponent, value))
-        if value != 0:
+        if value:
             return OddTraceResult(
                 passed=False,
                 failing_exponent=exponent,
                 failing_value=value,
                 traces=tuple(traces),
             )
-        exponent += 2
-        power = power @ square
     return OddTraceResult(passed=True, traces=tuple(traces))
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, UnknownSymbolError
 from .expr import Chart, _is_identifier, parse_expression
 from .geom import DifferentialForm, Tensor11, VectorField
 from .linfact import ExactMatrix
@@ -134,7 +134,10 @@ def parse_form_literal(text, chart: Chart, line=None) -> DifferentialForm:
             raise ParseError(
                 f"expected {degree} wedge factors like 'dq1^dp1', got {basis!r}", line=line
             )
-        idx = tuple(chart.coordinate_axis(p[1:]) for p in pieces)
+        try:
+            idx = tuple(chart.coordinate_axis(p[1:]) for p in pieces)
+        except UnknownSymbolError as exc:
+            raise UnknownSymbolError(str(exc), line=line) from None
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ParseError(f"wedge factors must be strictly increasing in {basis!r}", line=line)
         coeffs[idx] = coeffs[idx] + coeff if idx in coeffs else coeff
@@ -173,8 +176,9 @@ def parse_tensor_literal(text, chart: Chart, line=None) -> Tensor11:
 
 def _number(read, text, line=None):
     """``text`` read by ``int`` or ``Fraction``; a literal it rejects is a ParseError."""
+    text = text.strip()
     try:
-        return read(text.strip())
+        return read(text)
     except (ValueError, ZeroDivisionError) as exc:
         what = "integer" if read is int else "rational"
         raise ParseError(f"bad {what} literal {text!r}", line=line) from exc

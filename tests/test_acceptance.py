@@ -436,6 +436,7 @@ def test_criterion_6_cli_determinism():
         ("altgen", "oscillator_r4.sys"),
         ("normalform", "oscillator_r4.sys"),
         ("factorize", "linear_r4.sys"),
+        ("factorize", "linear_r8.sys"),
         ("altgen", "linear_r4.sys"),
         ("factorize", "identity.sys"),
         ("resonance", "resonance.sys"),

@@ -1,5 +1,6 @@
 """Property tests of the exact linear algebra against sympy.Matrix as an oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,9 +26,9 @@ entries = st.one_of(
 
 @st.composite
 def matrices(draw, rows=None, cols=None):
-    """Random rational matrices; about half are built with rank below full."""
-    m = draw(st.integers(1, 5)) if rows is None else rows
-    n = draw(st.integers(1, 5)) if cols is None else cols
+    """Random rational matrices up to 10×10; about half are built with rank below full."""
+    m = draw(st.integers(1, 10)) if rows is None else rows
+    n = draw(st.integers(1, 10)) if cols is None else cols
     if draw(st.booleans()):
         return [[draw(entries) for _ in range(n)] for _ in range(m)]
     r = draw(st.integers(0, max(0, min(m, n) - 1)))
@@ -39,7 +40,7 @@ def matrices(draw, rows=None, cols=None):
 
 @st.composite
 def square_matrices(draw):
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 10))
     return draw(matrices(rows=n, cols=n))
 
 
@@ -127,10 +128,9 @@ def system_matrices(draw):
     return (X - X.transpose()) @ (Y + Y.transpose())
 
 
-@settings(CHECK, max_examples=12)
-@given(system_matrices())
-def test_skew_constraint_kernel_matches_its_definition(A):
-    """The kernel of Ω ↦ ΩA + AᵀΩ on the basis E_kl, assembled by matrix products."""
+def kernel_by_definition(A):
+    """The kernel of Ω ↦ ΩA + AᵀΩ on the basis E_kl, assembled by matrix products
+    and taken by sympy's ``nullspace``."""
     n = A.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     columns = []
@@ -147,7 +147,24 @@ def test_skew_constraint_kernel_matches_its_definition(A):
         for (i, j), c in zip(pairs, v):
             omega[i][j], omega[j][i] = from_sympy(c), -from_sympy(c)
         expected.append(ExactMatrix(omega))
-    assert skew_constraint_kernel(A) == expected
+    return expected
+
+
+@settings(CHECK, max_examples=12)
+@given(system_matrices())
+def test_skew_constraint_kernel_matches_its_definition(A):
+    assert skew_constraint_kernel(A) == kernel_by_definition(A)
+
+
+def test_skew_constraint_kernel_at_n8_matches_sympy():
+    """A 28×28 constraint of rank 24: skew · symmetric with seeded entries in −2..2."""
+    rng = random.Random(8)
+    X = ExactMatrix([[rng.randint(-2, 2) for _ in range(8)] for _ in range(8)])
+    Y = ExactMatrix([[rng.randint(-2, 2) for _ in range(8)] for _ in range(8)])
+    A = (X - X.transpose()) @ (Y + Y.transpose()).scale_by(Fraction(1, 3))
+    kernel = skew_constraint_kernel(A)
+    assert len(kernel) == 4
+    assert kernel == kernel_by_definition(A)
 
 
 @st.composite

@@ -132,6 +132,57 @@ def test_odd_trace_spectrum_oracle():
         assert all(v == 0 for _, v in result.traces)
 
 
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def trace_test_matrices(draw):
+    """n ≤ 6 with denominators: skew · symmetric products (every odd trace
+    vanishes), traceless shifts with n ≥ 3 (Tr A = 0, so a failure comes
+    later; at n = 2 a traceless A has A² scalar and passes) and raw
+    matrices, in about equal parts."""
+    kind = draw(st.sampled_from(["decomposable", "traceless", "raw"]))
+    n = draw(st.integers(3 if kind == "traceless" else 1, 6))
+    X, Y = ([[draw(rationals) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    if kind == "decomposable":
+        X, Y = ExactMatrix(X), ExactMatrix(Y)
+        return (X - X.transpose()) @ (Y + Y.transpose())
+    if kind == "traceless":
+        shift = sum(X[i][i] for i in range(n)) / n
+        X = [[x - shift if i == j else x for j, x in enumerate(row)] for i, row in enumerate(X)]
+    return ExactMatrix(X)
+
+
+@settings(max_examples=60)
+@given(trace_test_matrices())
+def test_odd_trace_matches_sympy_powers(A):
+    M = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                      for row in A.entries])
+    expected = []
+    for k in range(1, 2 * A.n, 2):
+        value = (M ** k).trace()
+        expected.append((k, Fraction(int(value.p), int(value.q))))
+        if value != 0:
+            break
+    result = odd_trace_test(A)
+    assert list(result.traces) == expected
+    assert result.passed == (expected[-1][1] == 0)
+    if not result.passed:
+        assert (result.failing_exponent, result.failing_value) == expected[-1]
+
+
+def test_odd_trace_failure_carries_the_exact_fraction():
+    """Spectrum {1/2, 1/3, −5/6}: Tr A = 0 and Tr A³ = (27 + 8 − 125)/216 = −5/12."""
+    D = ExactMatrix([[Fraction(1, 2), 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(-5, 6)]])
+    S = ExactMatrix([[1, Fraction(1, 2), 0], [0, 1, 2], [Fraction(1, 3), 0, 1]])
+    result = odd_trace_test(S @ D @ S.inverse())
+    assert not result.passed
+    assert result.failing_exponent == 3
+    assert result.failing_value == Fraction(-5, 12)
+    assert type(result.failing_value) is Fraction
+    assert result.traces == ((1, 0), (3, Fraction(-5, 12)))
+
+
 # -- factorization ----------------------------------------------------------------
 
 def test_factorize_planar_rotation():
