@@ -30,7 +30,6 @@ from .geom import (
 )
 from .linfact import (
     hamiltonian_factorize,
-    is_canonical,
     noncanonical_symmetry,
     odd_trace_test,
     transform_description,
@@ -114,7 +113,7 @@ def _matrix_symmetry(system, request, options):
     return {
         "pipeline": "matrix-symmetry",
         "symmetry": matrix_to_dict(T),
-        "canonical": is_canonical(T, fact.lam),
+        "canonical": moved.same_description,
         "base": _description_to_dict(fact),
         "transformed": _description_to_dict(moved),
         "same_description": moved.same_description,

@@ -81,9 +81,6 @@ class ExactMatrix:
         scale = float(np.exp(float(self.log_scale)))
         return scale * np.array([[float(x) for x in row] for row in self.entries])
 
-    def row_lists(self):
-        return [list(row) for row in self.entries]
-
     # -- algebra ---------------------------------------------------------------
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
@@ -139,10 +136,10 @@ class ExactMatrix:
     def determinant(self) -> Fraction:
         """Determinant of the rational entries (the e^{n·s} prefactor is
         positive, so invertibility is decided by this alone)."""
-        return _linalg.det(self.row_lists())
+        return _linalg.det(self.entries)
 
     def inverse(self) -> "ExactMatrix":
-        inv = _linalg.inverse(self.row_lists())
+        inv = _linalg.inverse(self.entries)
         if inv is None:
             raise ZeroDivisionError("matrix is singular")
         return ExactMatrix(inv, -self.log_scale)

@@ -3,9 +3,10 @@ dependence and obstruction tests.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with its
 continuous extension for dense output.  One adaptive loop is generated
-per flow, cached on the field's source: each stage evaluates the field
-inline on scalar locals, and the loop yields each accepted step, so the
-dense solution grows block by block.  A dense state at one time is
+per flow, cached on the field's source, which lists each polynomial's
+terms in lexicographic order: each stage evaluates the field inline on
+scalar locals, and the accepted steps the loop yields are appended to
+the dense solution block by block.  A dense state at one time is
 computed on Python floats from the one step that covers it.
 
 Period detection works with the full phase-space return to the seed
@@ -59,9 +60,7 @@ DIRECTION_TRIES = 8
 def _polynomial_source(poly, chart: Chart, constant_values):
     dim = chart.dimension
     pieces = []
-    for key in sorted(poly._terms, key=chart._unpack):  # lexicographic exponent order
-        exps = chart._unpack(key)
-        coeff = Fraction(poly._terms[key], poly._den)
+    for exps, coeff in sorted(poly.terms.items()):  # lexicographic exponent order
         factors = []
         for axis, e in enumerate(exps):
             if e == 0:
@@ -104,12 +103,17 @@ def _rational_source(f: RationalFunction, chart: Chart, constant_values):
     return f"({num_src})/({den_src})"
 
 
+def _compile(signature, body):
+    """The function ``def signature:`` over the indented body, in this module's globals."""
+    namespace = {}
+    exec(f"def {signature}:\n{body}\n", globals(), namespace)
+    (function,) = namespace.values()
+    return function
+
+
 def compile_scalar(f: RationalFunction, constant_values=None):
     """Compile a rational function to a fast float callable of the state."""
-    body = _rational_source(f, f.chart, constant_values)
-    namespace = {}
-    exec(f"def _scalar(y):\n    return {body}\n", namespace)
-    return namespace["_scalar"]
+    return _compile("_scalar(y)", "    return " + _rational_source(f, f.chart, constant_values))
 
 
 def _field_sources(field: VectorField, constant_values):
@@ -117,15 +121,10 @@ def _field_sources(field: VectorField, constant_values):
     return tuple(_rational_source(c, field.chart, constant_values) for c in field.components)
 
 
-def _compile_rhs(sources):
-    namespace = {}
-    exec("def _rhs(t, y):\n    return [" + ", ".join(sources) + "]\n", namespace)
-    return namespace["_rhs"]
-
-
 def compile_field(field: VectorField, constant_values=None):
     """Compile a vector field to an ODE right-hand side f(t, y) -> list."""
-    return _compile_rhs(_field_sources(field, constant_values))
+    sources = _field_sources(field, constant_values)
+    return _compile("_rhs(t, y)", "    return [" + ", ".join(sources) + "]")
 
 
 class FlowSystem:
@@ -172,7 +171,7 @@ class FlowSystem:
             compile_scalar(hamiltonian, self.constant_values) if hamiltonian is not None else None
         )
         sources = _field_sources(field, self.constant_values)
-        self._rhs = _compile_rhs(sources)
+        self._rhs = _compile("_rhs(t, y)", "    return [" + ", ".join(sources) + "]")
         self._steps = _steps_for(sources)
 
     @cached_property
@@ -220,8 +219,7 @@ _STAGE_ROWS = ("1/5 * a", "3/40 * a + 9/40 * b", "44/45 * a - 56/15 * b + 32/9 *
 _SOLUTION_ROW = "35/384 * a + 500/1113 * c + 125/192 * d - 2187/6784 * e + 11/84 * f"
 _ERROR_ROW = "-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e - 22/525 * f + 1/40 * g"
 
-_LOOP = """def _steps(t, t_end, y, f, h_abs, rtol, atol):
-    [{y}] = y
+_LOOP = """    [{y}] = y
     [{a}] = f
     attempts = 0
     while t < t_end:
@@ -296,9 +294,7 @@ def _steps_for(sources):
                           trial="\n                ".join(trial),
                           stages=", ".join(each(name, ", ") for name in "abcdefg"),
                           advance=each("y = n") + "; " + each("a = g"))
-    namespace = {}
-    exec(source, globals(), namespace)  # the loop reads the module's constants
-    return namespace["_steps"]
+    return _compile("_steps(t, t_end, y, f, h_abs, rtol, atol)", source)
 
 
 def _initial_step(rhs, t, y, f, span, rtol, atol):
@@ -334,22 +330,17 @@ class DenseSolution:
     """The continuous extension of a run of steps, at a scalar or an array of times.
 
     It starts with no step at t_start and grows by ``extend``, block by
-    block: each step's coefficients are computed once, into buffers that
-    double when full.  A time on a step boundary uses the step that ends
-    there; a time outside [ts[0], ts[-1]] extrapolates the nearest step.
+    block: each step's coefficients are computed once, when its block is
+    appended.  A time on a step boundary uses the step that ends there; a
+    time outside [ts[0], ts[-1]] extrapolates the nearest step.
     """
 
     def __init__(self, t_start, dimension):
         import numpy as np
 
         self.times = [t_start]
-        self._buffers = (np.array(self.times), np.empty(0), np.empty((0, dimension)),
-                         np.empty((0, dimension, 4)))
-        self._view(0)
-
-    def _view(self, n):
-        ts, h, y_old, Q = self._buffers
-        self.ts, self.h, self.y_old, self.Q = ts[:n + 1], h[:n], y_old[:n], Q[:n]
+        self.ts, self.h = np.array(self.times), np.empty(0)
+        self.y_old, self.Q = np.empty((0, dimension)), np.empty((0, dimension, 4))
 
     def extend(self, steps):
         """Append accepted steps (t_new, y_old, stages) that continue from times[-1],
@@ -357,23 +348,12 @@ class DenseSolution:
         import numpy as np
 
         t_new, states, stages = zip(*steps)
-        n, m = len(self.h), len(states)
-        if n + m > len(self._buffers[1]):
-            capacity, d = max(2 * n, n + m), self.y_old.shape[1]
-            grown = (np.empty(capacity + 1), np.empty(capacity), np.empty((capacity, d)),
-                     np.empty((capacity, d, 4)))
-            for new, old in zip(grown, (self.ts, self.h, self.y_old, self.Q)):
-                new[:len(old)] = old
-            self._buffers = grown
-        ts, h, y_old, Q = self._buffers
-        ts[n + 1:n + m + 1] = t_new
-        h[n:n + m] = ts[n + 1:n + m + 1] - ts[n:n + m]
-        y_old[n:n + m] = states
-        flat = chain.from_iterable(stages)
-        K = np.fromiter(flat, float, count=m * 7 * y_old.shape[1]).reshape(m, 7, -1)
-        Q[n:n + m] = np.einsum("msn,sj->mnj", K, _P)
         self.times.extend(t_new)
-        self._view(n + m)
+        self.ts = np.concatenate((self.ts, t_new))
+        self.h = self.ts[1:] - self.ts[:-1]
+        self.y_old = np.concatenate((self.y_old, states))
+        K = np.fromiter(chain.from_iterable(stages), float).reshape(len(states), 7, -1)
+        self.Q = np.concatenate((self.Q, np.einsum("msn,sj->mnj", K, _P)))
 
     def at(self, t):
         """The state at a scalar t as a list of floats: the array path's arithmetic on
@@ -436,7 +416,7 @@ def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: f
         raise ValueError("tolerances must be positive and finite")
     x0 = [float(v) for v in x0]
     solution = DenseSolution(float(t_start), len(x0))
-    solution.extend(list(_dopri(system, float(t_start), float(t_end), x0, rtol, atol)))
+    solution.extend(_dopri(system, float(t_start), float(t_end), x0, rtol, atol))
     initial_energy = system.energy(x0)
     max_drift = None if initial_energy is None else _energy_drift(system, solution, initial_energy)
     return Trajectory(solution=solution, initial_energy=initial_energy, max_energy_drift=max_drift)
@@ -503,7 +483,7 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
     import numpy as np
 
     x0 = np.asarray(x0, dtype=float)
-    max_drift = 0.0 if system.energy(x0) is not None else None
+    max_drift = None if system._energy is None else 0.0
     left_ball = False
     closest = math.inf
     chunk = INITIAL_CHUNK

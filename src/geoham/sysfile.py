@@ -227,7 +227,6 @@ _OBJECT_PARSERS = {
     "matrix": lambda text, chart, line: parse_matrix_literal(text, line),
     "frequencies": lambda text, chart, line: parse_frequencies_literal(text, line),
 }
-OBJECT_KINDS = tuple(_OBJECT_PARSERS)
 
 
 def _logical_lines(text):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
@@ -90,6 +91,15 @@ def test_flow_system_accepts_explicit_field():
     field = VectorField(chart, [chart.one(), chart.zero()])
     system = FlowSystem(chart, field=field)
     assert system.energy([1.0, 2.0]) is None
+
+
+def test_compiled_source_text_is_pinned():
+    # term order and float literals fix every float the engine computes
+    chart = Chart(["q", "p"], constants=["k"])
+    f = parse_expression("(k*p^3 - 3/4*q^2*p + 2*q - 1/5) / (1 + k^2*q^2 + p)", chart)
+    assert period._rational_source(f, chart, {"k": Fraction(1, 3)}) == (
+        "((-0.2 + 0.3333333333333333*y[1]**3 + 2.0*y[0] + -0.75*y[0]**2*y[1]))"
+        "/((1.0 + 1.0*y[1] + 0.1111111111111111*y[0]**2))")
 
 
 # -- integrate -------------------------------------------------------------------
