@@ -182,6 +182,18 @@ class _TermsView(Mapping):
             raise KeyError(exps)
         return Fraction(self._poly._terms[key], self._poly._den)
 
+    # items() and values() read the packed dict once; the inherited ones pack
+    # every key again to look it up.
+    def _dict(self) -> dict:
+        unpack, den = self._poly.chart._unpack, self._poly._den
+        return {unpack(k): Fraction(c, den) for k, c in self._poly._terms.items()}
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
 
 class Polynomial:
     """Sparse multivariate polynomial with exact rational coefficients.
@@ -252,6 +264,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         require_same_chart(self, other)
+        if self.is_one:
+            return other
+        if other.is_one:
+            return self
         a, b = self._terms, other._terms
         if len(a) * len(b) > MAX_TERM_PAIRS:
             raise ExpressionSizeError(f"a product of {len(a)} by {len(b)} terms exceeds the "
@@ -324,30 +340,16 @@ class Polynomial:
     def evaluate(self, values: Sequence):
         """Evaluate at a full variable vector (coordinates + constants).
 
-        The value is exact: with the used values written as a_i/B over a
-        common denominator B and D the total degree, it is the integer sum
-        of c·Π a_i^e_i·B^(D − deg) over _den·B^D, one Fraction, which is
-        rounded to a float once when any input is not an int or Fraction.
+        This is a one-point call of :func:`evaluate_points`: the value is
+        exact for int and Fraction input, and it is rounded to a float once
+        when any value is a float.
         """
         chart = self.chart
         if len(values) != len(chart.variables):
             raise ValueError("value vector length does not match chart variables")
-        terms = self._terms
-        exact = all(isinstance(v, (int, Fraction)) for v in values)
-        used = reduce(or_, terms, 0)
-        point = [(s, v if exact else Fraction(v))
-                 for v, s in zip(values, chart._shifts) if used >> s & _SLOT_MASK]
-        common = lcm(1, *(v.denominator for _, v in point))
-        point = [(s, v.numerator * (common // v.denominator)) for s, v in point]
-        shift = chart._degree_shift
-        top = max(terms, default=0) >> shift
-        total = 0
-        for k, c in terms.items():
-            for s, a in point:
-                c *= a ** (k >> s & _SLOT_MASK)
-            total += c * common ** (top - (k >> shift))
-        value = Fraction(total, self._den * common ** top)
-        return value if exact else float(value)
+        dim = chart.dimension
+        constants = dict(zip(chart.constants, values[dim:]))
+        return evaluate_points(chart, [RationalFunction(self)], [values[:dim]], constants)[0][0]
 
     # -- structure ---------------------------------------------------------
     @property
@@ -358,6 +360,11 @@ class Polynomial:
     def is_constant(self) -> bool:
         """True for the zero polynomial and for a lone term of degree 0."""
         return len(self._terms) <= 1 and not any(self._terms)
+
+    @property
+    def is_one(self) -> bool:
+        """True for the unit polynomial only."""
+        return self._den == 1 and self._terms == {0: 1}
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex largest term."""
@@ -402,15 +409,16 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
             den = _polynomial(num.chart, {0: 1})
-        require_same_chart(num, den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator polynomial")
-        # normalize: constant denominators fold away, otherwise make monic
-        lead = den._terms[max(den._terms)]
-        if lead != den._den:
-            inverse = Fraction(den._den, lead)
-            num = num.scale(inverse)
-            den = _polynomial(num.chart, {0: 1}) if den.is_constant else den.scale(inverse)
+        else:
+            require_same_chart(num, den)
+            if den.is_zero:
+                raise ZeroDivisionError("zero denominator polynomial")
+            # normalize: constant denominators fold away, otherwise make monic
+            lead = den._terms[max(den._terms)]
+            if lead != den._den:
+                inverse = Fraction(den._den, lead)
+                num = num.scale(inverse)
+                den = _polynomial(num.chart, {0: 1}) if den.is_constant else den.scale(inverse)
         self.num = num
         self.den = den
 
@@ -436,6 +444,13 @@ class RationalFunction:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # 0/1 + n/D builds (0·D + n·1)/(1·D) = n/D with D monic: the other operand
+        if self.num.is_zero and self.den.is_one:
+            require_same_chart(self, other)
+            return other
+        if other.num.is_zero and other.den.is_one:
+            require_same_chart(self, other)
+            return self
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -501,25 +516,12 @@ class RationalFunction:
 
         ``point`` supplies one value per coordinate; ``constants``
         supplies values for any declared constants the function uses.
+        This is a one-point call of :func:`evaluate_points`.
         """
-        chart = self.chart
-        if len(point) != chart.dimension:
-            raise ValueError(f"point has {len(point)} entries, "
-                             f"chart has dimension {chart.dimension}")
-        values = list(point)
-        for name in chart.constants:
-            shift = chart._shifts[chart.axis(name)]
-            if constants is not None and name in constants:
-                values.append(constants[name])
-            elif any(k >> shift & _SLOT_MASK for k in chain(self.num._terms, self.den._terms)):
-                raise ValueError(f"no value supplied for constant {name!r}")
-            else:
-                values.append(0)
-        values = [v if isinstance(v, (int, Fraction, float)) else Fraction(v) for v in values]
-        den_val = self.den.evaluate(values)
-        if den_val == 0:
+        row = evaluate_points(self.chart, [self], [point], constants)[0]
+        if row is None:
             raise PoleError(f"denominator vanishes at {tuple(point)}")
-        return self.num.evaluate(values) / den_val
+        return row[0]
 
     # -- structure ---------------------------------------------------------------
     @property
@@ -549,6 +551,83 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
+
+
+def evaluate_points(chart: Chart, functions: Sequence[RationalFunction], points: Sequence,
+                    constants: Mapping[str, object] | None = None) -> list:
+    """values[k][i] = functions[i] at points[k], exactly for rational input;
+    values[k] is None where the denominator of some function vanishes at points[k].
+
+    Each point supplies one value per coordinate, and ``constants`` a value
+    for every declared constant that a function uses (``ValueError`` if one
+    is missing).  All of them are written as integers a/B over one common
+    denominator B.  Each polynomial's packed terms are then walked once: a
+    key is unpacked once, c·B^(D − deg) is formed once, D the total degree,
+    and each point's powers are multiplied in, so the polynomial is that
+    integer sum over _den·B^D.  Numerators are evaluated only at the points
+    where no denominator vanishes, and a function's value is one Fraction of
+    the two, rounded to a float once when any input is a float.  A function
+    with the unit denominator and a constant numerator has one value, formed
+    once.
+    """
+    dim = chart.dimension
+    for point in points:
+        if len(point) != dim:
+            raise ValueError(f"point has {len(point)} entries, chart has dimension {dim}")
+    given = constants or {}
+    missing = [(name, chart._shifts[dim + i]) for i, name in enumerate(chart.constants)
+               if name not in given]
+    for f in functions:
+        if f.chart is not chart and f.chart != chart:
+            raise ChartMismatchError(f"chart mismatch: {f.chart!r} vs {chart!r}")
+        if missing:
+            used = reduce(or_, chain(f.num._terms, f.den._terms), 0)
+            for name, shift in missing:
+                if used >> shift & _SLOT_MASK:
+                    raise ValueError(f"no value supplied for constant {name!r}")
+    tail = [given.get(name, 0) for name in chart.constants]
+    rows = [list(point) + tail for point in points]
+    inexact = any(isinstance(v, float) for row in rows for v in row)
+    rows = [[(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in row]
+            for row in rows]
+    common = lcm(1, *{d for row in rows for _, d in row})
+    rows = [[n * (common // d) for n, d in row] for row in rows]
+
+    dens = [None if f.den.is_one else _integer_values(f.den, rows, common) for f in functions]
+    live = [j for j in range(len(rows)) if all(d is None or d[0][j] for d in dens)]
+    live_rows = [rows[j] for j in live]
+    out = [[] for _ in live]
+    for f, den in zip(functions, dens):
+        if den is None and f.num.is_constant:  # the same value everywhere, formed once
+            column = [Fraction(f.num._terms.get(0, 0), f.num._den)] * len(live)
+        else:
+            totals, scale = _integer_values(f.num, live_rows, common)
+            column = [Fraction(total, scale) if den is None
+                      else Fraction(total * den[1], scale * den[0][j])
+                      for j, total in zip(live, totals)]
+        for row, value in zip(out, column):
+            row.append(float(value) if inexact else value)
+    values = [None] * len(rows)
+    for j, row in zip(live, out):
+        values[j] = row
+    return values
+
+
+def _integer_values(poly: Polynomial, rows: list, common: int) -> tuple:
+    """(totals, scale): ``poly`` is totals[k]/scale at the point whose variables
+    are rows[k] over ``common``."""
+    shifts, degree_shift = poly.chart._shifts, poly.chart._degree_shift
+    top = max(poly._terms, default=0) >> degree_shift
+    totals = [0] * len(rows)
+    for k, c in poly._terms.items():
+        c *= common ** (top - (k >> degree_shift))
+        factors = [(i, e) for i, s in enumerate(shifts) if (e := k >> s & _SLOT_MASK)]
+        for j, row in enumerate(rows):
+            term = c
+            for i, e in factors:
+                term *= row[i] ** e
+            totals[j] += term
+    return totals, poly._den * common ** top
 
 
 # ---------------------------------------------------------------------------

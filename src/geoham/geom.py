@@ -6,7 +6,9 @@ Coefficients are exact rational functions, so every identity here
 residuals) is decided exactly, not numerically.  A nonzero Pfaffian of a 2-form's
 coefficient matrix W at one seeded sample point proves it nondegenerate; only when
 every sample vanishes is the Pfaffian of D·W expanded symbolically, with D the
-product of W's denominators.
+product of W's denominators.  Sample points are drawn in batches, and every probe
+is evaluated at a whole batch by ``expr.evaluate_points``, one exact integer pass
+over each polynomial's terms.
 
 Every contraction (X(f), T(X), S∘T, d_T f, i_T a, Σ νʲXⱼ) is one ``_dot``: the
 products of the nonzero pairs, added left to right.  Quotients are never
@@ -26,12 +28,14 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import ChartMismatchError, DimensionError, PoleError
-from .expr import Chart, Polynomial, RationalFunction, require_same_chart
+from .expr import Chart, Polynomial, RationalFunction, evaluate_points, require_same_chart
 
 #: Sample points per pointwise probe, drawn from the grid (1/8)Z in
 #: [-SAMPLE_BOUND, SAMPLE_BOUND] on every coordinate.
 SAMPLE_COUNT = 8
 SAMPLE_BOUND = 10
+# The grid's points, built once: a draw of k picks the shared Fraction k/8.
+_GRID = tuple(Fraction(k, 8) for k in range(-8 * SAMPLE_BOUND, 8 * SAMPLE_BOUND + 1))
 
 
 class VectorField:
@@ -478,22 +482,25 @@ def symbolic_determinant(form: DifferentialForm) -> Polynomial:
 
 def sample_points(chart: Chart, probes, seed=42, constants=None):
     """(points, values): SAMPLE_COUNT seeded rational points where no probe
-    has a pole, and values[k][i] = probes[i] at points[k], for reuse."""
+    has a pole, and values[k][i] = probes[i] at points[k], for reuse.
+
+    The points still needed are drawn as one batch and every probe is
+    evaluated at the whole batch; the pole-free ones are kept in draw order.
+    """
     rng = random.Random(seed)
     points, values = [], []
     attempts = 0
     while len(points) < SAMPLE_COUNT:
-        attempts += 1
-        if attempts > 200 * SAMPLE_COUNT:
+        if attempts == 200 * SAMPLE_COUNT:
             raise PoleError("could not find enough pole-free sample points")
-        point = [Fraction(rng.randint(-8 * SAMPLE_BOUND, 8 * SAMPLE_BOUND), 8)
-                 for _ in range(chart.dimension)]
-        try:
-            row = [probe.evaluate(point, constants) for probe in probes]
-        except PoleError:
-            continue
-        points.append(point)
-        values.append(row)
+        batch = [[_GRID[8 * SAMPLE_BOUND + rng.randint(-8 * SAMPLE_BOUND, 8 * SAMPLE_BOUND)]
+                  for _ in range(chart.dimension)]
+                 for _ in range(min(SAMPLE_COUNT - len(points), 200 * SAMPLE_COUNT - attempts))]
+        attempts += len(batch)
+        for point, row in zip(batch, evaluate_points(chart, probes, batch, constants)):
+            if row is not None:
+                points.append(point)
+                values.append(row)
     return points, values
 
 
@@ -669,10 +676,11 @@ def check_normal_form(
     field_values = [[row[n + k * chart.dimension:n + (k + 1) * chart.dimension]
                      for k in range(n)] for row in values]  # per point: one row per field
 
-    gradients = [[f.derivative(j) for j in range(chart.dimension)] for f in integrals]
+    # a gradient's denominator is the square of its integral's, so it has no pole at the points
+    gradients = [f.derivative(j) for f in integrals for j in range(chart.dimension)]
     integral_rank_full = all(
-        _linalg.rank([[g.evaluate(pt, constants) for g in row] for row in gradients]) == n
-        for pt in points
+        _linalg.rank([row[k * chart.dimension:(k + 1) * chart.dimension] for k in range(n)]) == n
+        for row in evaluate_points(chart, gradients, points, constants)
     )
 
     # (ii) commuting, pointwise-independent fields

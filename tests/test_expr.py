@@ -6,8 +6,10 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from geoham.errors import ExponentLimitError, ParseError, PoleError, UnknownSymbolError
-from geoham.expr import MAX_EXPONENT, Chart, Polynomial, RationalFunction, parse_expression
+from geoham.errors import (ChartMismatchError, ExponentLimitError, ParseError, PoleError,
+                           UnknownSymbolError)
+from geoham.expr import (MAX_EXPONENT, Chart, Polynomial, RationalFunction, evaluate_points,
+                         parse_expression)
 
 
 CHART_QP = Chart(["q1", "p1"])
@@ -416,6 +418,79 @@ def test_quotients_match_sympy_and_reparse(data):
     else:
         expected = nf.subs(values) / den
         assert f.evaluate(point, constants) == Fraction(int(expected.p), int(expected.q))
+
+
+def sympy_value(f, point, constants):
+    """f at the point by sympy Rational substitution, or None at a pole."""
+    values = [rational(Fraction(x)) for x in point]
+    values += [rational(Fraction(constants[c])) for c in f.chart.constants]
+    subs = dict(zip(sympy.symbols(f.chart.variables), values))
+    den = to_sympy(f.den).subs(subs)
+    if den == 0:
+        return None
+    value = to_sympy(f.num).subs(subs) / den
+    return Fraction(int(value.p), int(value.q))
+
+
+@ORACLE
+@given(st.data())
+def test_evaluate_points_matches_sympy_value_for_value(data):
+    n = data.draw(st.integers(1, 3))
+    chart = Chart([f"x{i}" for i in range(n)], constants=["c0"])
+    constants = {"c0": data.draw(coefficients)}
+    points = data.draw(st.lists(st.lists(coefficients, min_size=n, max_size=n),
+                                min_size=1, max_size=4))
+    functions = data.draw(st.lists(quotients(chart), min_size=1, max_size=3))
+    # one more function whose denominator q - q(points[0]) vanishes at the first point
+    q = data.draw(polynomials(chart, max_terms=3, max_exponent=2))
+    den = q - Polynomial.constant(chart, q.evaluate(points[0] + [constants["c0"]]))
+    assume(not den.is_zero)
+    functions.append(RationalFunction(data.draw(polynomials(chart)), den))
+    expected = [[sympy_value(f, point, constants) for f in functions] for point in points]
+    assert None in expected[0]
+    rows = evaluate_points(chart, functions, points, constants)
+    assert rows == [None if None in row else row for row in expected]
+    assert all(isinstance(v, Fraction) for row in rows if row for v in row)
+    for f, value in zip(functions, expected[0]):
+        if value is None:
+            with pytest.raises(PoleError):
+                f.evaluate(points[0], constants)
+        else:
+            assert f.evaluate(points[0], constants) == value
+    # float input is converted exactly, and each value is rounded once
+    floats = [[float(x) for x in point] for point in points]
+    rows = evaluate_points(chart, functions, floats, {"c0": float(constants["c0"])})
+    for point, row in zip(floats, rows):
+        exact = [sympy_value(f, point, {"c0": float(constants["c0"])}) for f in functions]
+        assert row == (None if None in exact else [float(v) for v in exact])
+        assert row is None or all(type(v) is float for v in row)
+
+
+def test_terms_items_and_values_match_lookups():
+    rng = random.Random(4021)
+    for chart in (CHART_QP, CHART_R4, Chart(["q"], constants=["omega", "lam"])):
+        for _ in range(40):
+            p = random_polynomial(rng, chart, max_degree=5, max_terms=8)
+            assert dict(p.terms.items()) == {e: p.terms[e] for e in p.terms}
+            assert list(p.terms.values()) == [p.terms[e] for e in p.terms]
+
+
+def test_unit_and_zero_operands_return_the_other_operand():
+    f = rf("(q1 + p2/3)/(2*p1^2 + 1)")
+    one, zero = Polynomial.constant(CHART_R4, 1), CHART_R4.zero()
+    assert f.num * one is f.num and one * f.num is f.num
+    assert zero + f is f and f + zero is f and f + 0 is f and 0 + f is f
+    assert str(zero + f) == "(1/2*q1 + 1/6*p2)/(p1^2 + 1/2)"
+    # a zero over another denominator is added as before: returning q1 would print differently
+    zero_over_den = f - f
+    assert str(zero_over_den + rf("q1")) == "(q1*p1^2 + 1/2*q1)/(p1^2 + 1/2)"
+    other = Chart(["a", "b", "c", "d"])
+    with pytest.raises(ChartMismatchError):
+        Polynomial.constant(other, 1) * f.num
+    with pytest.raises(ChartMismatchError):
+        other.zero() + f
+    with pytest.raises(ChartMismatchError):
+        RationalFunction(f.num, Polynomial.constant(other, 1))
 
 
 @ORACLE

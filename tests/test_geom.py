@@ -436,6 +436,34 @@ def test_samples_on_the_degeneracy_locus_are_all_listed(monkeypatch):
     assert report.nondegenerate and report.degenerate_samples == on_locus[:2]
 
 
+def test_sample_points_keep_the_draw_order_past_poles():
+    # seed 96 draws (14/8, 0) first and (0, -58/8) sixth, both poles of k/(q*p), so the first
+    # batch of eight keeps six points and a second batch of two is drawn
+    chart = Chart(["q", "p"], constants=["k"])
+    probes = [parse_expression(text, chart) for text in ["k/(q*p)", "q^2 - k*p", "(q + p)/(q - p)"]]
+    points, values = sample_points(chart, probes, seed=96, constants={"k": Fraction(3, 2)})
+    exact = lambda rows: [[Fraction(x) for x in row.split()] for row in rows]
+    assert points == exact(["21/8 -7/2", "-7 7/8", "-69/8 -75/8", "-19/4 3", "-15/8 3/4",
+                            "11/8 -5/4", "-47/8 49/8", "-39/4 67/8"])
+    assert values == exact(["-8/49 777/64 -1/7", "-12/49 763/16 7/9", "32/1725 5661/64 -24",
+                            "-2/19 289/16 7/31", "-16/15 153/64 3/7", "-48/55 241/64 1/21",
+                            "-96/2303 1621/64 -1/48", "-16/871 165/2 11/145"])
+
+
+def test_a_constant_without_a_value_leaves_the_exact_expansion_alone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(geom, "symbolic_determinant",
+                        lambda form: calls.append(form) or symbolic_determinant(form))
+    chart = Chart(["q", "p"], constants=["omega"])
+    form = DifferentialForm(chart, 2, {(0, 1): parse_expression("omega*q/(1 + p^2)", chart)})
+    report = is_hamiltonian_description(VectorField.zero(chart), form, chart.zero())
+    assert len(calls) == 1
+    assert report.nondegenerate and report.degenerate_samples == []
+    chart, f1, f2, x1, x2, omega = oscillator_normal_form_data()
+    with pytest.raises(ValueError, match="^no value supplied for constant 'omega'$"):
+        check_normal_form(OSC.gamma, [f1, f2], [x1, x2])
+
+
 R3 = Chart(R4.names[:3])
 r3_two_forms = st.lists(coefficients_on(R3), min_size=3, max_size=3).map(
     lambda coeffs: DifferentialForm(R3, 2, dict(zip(itertools.combinations(range(3), 2), coeffs))))
