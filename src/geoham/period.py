@@ -5,25 +5,22 @@ Integration uses the Dormand-Prince 5(4) embedded pair with its
 continuous extension for dense output.  One adaptive loop is generated
 per flow, cached on the field's source, which lists each polynomial's
 terms in lexicographic order: each stage evaluates the field inline on
-scalar locals, and the accepted steps the loop yields are appended to
-the dense solution block by block.  A dense state at one time is
-computed on Python floats from the one step that covers it.
+scalar locals.  Everything runs on Python floats.
 
 Period detection works with the full phase-space return to the seed
-point, so quasi-periodic orbits report no period instead of aliasing;
-the first re-entry into an eps-ball is refined by golden-section
-minimization of the distance along the dense solution.  The search
-pulls steps only as far as its distance samples need, so it stops at
-the step that confirms the return, and the energy drift it reports
-covers the span actually integrated.
+point, so quasi-periodic orbits report no period instead of aliasing.
+Returns are found on the Poincaré section through the seed normal to
+the field there, step by step: a step whose end crosses the section in
+the flow's direction has its continuous extension rooted on the section
+(Hénon, Physica D 5, 1982; Hairer, Nørsett & Wanner, Solving ODEs I,
+§II.6), and the first crossing within eps of the seed is the return.
+The search stops at the step that confirms it, so the energy drift it
+reports covers the span actually integrated.
 
 The period of a flow is a diffeomorphism invariant, and on a connected
 family of periodic orbits the period depends on the energy alone; the
 obstruction test compares observed period sets of two systems and can
 certify, never refute, inequivalence.
-
-numpy is imported by the functions that compute with it, on first use,
-so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -34,30 +31,25 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cache, cached_property, partial
-from itertools import chain
+from functools import cache, cached_property
+from operator import mul
 
 from .errors import (CoefficientRangeError, DimensionError, IntegrationError, PoleError,
                      RootFindError)
 from .expr import Chart, Polynomial, RationalFunction
 from .geom import DifferentialForm, VectorField, differential, interior_product
 
-#: First integration chunk of the return search; chunks then double up to MAX_CHUNK.
-INITIAL_CHUNK = 8.0
-MAX_CHUNK = 64.0
-#: Spacing of the distance samples that locate candidate returns.
-SAMPLE_SPACING = 1.0 / 128.0
-#: Distance samples computed at a time (one time unit): the steps that cover
-#: them are taken, then their candidate returns are tested.
-SEARCH_WINDOW = 128
-#: Step attempts, accepted or rejected, that one _dopri call may make: over ten
-#: times the most that one chunk of the fixture and benchmark scans takes (7,000).
+#: Time span of one _dopri call: the return search restarts the stepper from its last
+#: accepted state every SPAN time units, so the step budget holds per span.
+SPAN = 64.0
+#: Step attempts, accepted or rejected, that one _dopri call may make: one whole span
+#: of the quartic fixture's fastest orbit, (p²+q²)² at E = 16, takes 55,258 steps.
 MAX_STEP_ATTEMPTS = 100_000
 #: Random directions tried before an energy level is reported unattainable.
 DIRECTION_TRIES = 8
 
 
-def _polynomial_source(poly, chart: Chart, constant_values):
+def _polynomial_source(poly, chart: Chart, constant_values, power="{}**{}"):
     dim = chart.dimension
     pieces = []
     for exps, coeff in sorted(poly.terms.items()):  # lexicographic exponent order
@@ -66,7 +58,7 @@ def _polynomial_source(poly, chart: Chart, constant_values):
             if e == 0:
                 continue
             if axis < dim:
-                factors.append(f"y[{axis}]" if e == 1 else f"y[{axis}]**{e}")
+                factors.append(f"y[{axis}]" if e == 1 else power.format(f"y[{axis}]", e))
             else:
                 name = chart.variables[axis]
                 if constant_values is None or name not in constant_values:
@@ -84,23 +76,40 @@ def _polynomial_source(poly, chart: Chart, constant_values):
     return "(" + " + ".join(pieces) + ")" if pieces else "0.0"
 
 
-def _rational_source(f: RationalFunction, chart: Chart, constant_values):
+def _rational_source(f: RationalFunction, chart: Chart, constant_values, ieee=False):
     """Float source of f in the state y.
 
     A denominator with no coordinate factor compiles to float literals
     only, so it is evaluated here: a zero raises PoleError instead of a
     ZeroDivisionError from the compiled function.  Every other division
-    has a state operand: on numpy arrays it cannot raise, and the generated
-    stepping loop, which evaluates it on floats, rejects a step whose stage
-    raises.
+    has a state operand, and so may raise on Python floats: the generated
+    stepping loop rejects a step whose stage raises.  With ``ieee``, the
+    powers and the quotient call _pow and _quotient, which do not raise.
     """
-    num_src = _polynomial_source(f.num, chart, constant_values)
+    power = "_pow({}, {})" if ieee else "{}**{}"
+    num_src = _polynomial_source(f.num, chart, constant_values, power)
     if f.den.is_constant:
         return num_src
-    den_src = _polynomial_source(f.den, chart, constant_values)
+    den_src = _polynomial_source(f.den, chart, constant_values, power)
     if "y[" not in den_src and eval(den_src) == 0.0:
         raise PoleError(f"the denominator of {f} vanishes at the declared constant values")
-    return f"({num_src})/({den_src})"
+    return f"_quotient({num_src}, {den_src})" if ieee else f"({num_src})/({den_src})"
+
+
+def _pow(x, k):
+    """x**k, or the infinity that IEEE arithmetic gives where the power overflows."""
+    try:
+        return x ** k
+    except OverflowError:
+        return -math.inf if x < 0.0 and k % 2 else math.inf
+
+
+def _quotient(n, d):
+    """n/d, or the IEEE value where d is ±0: an infinity signed by n and d, nan for 0/0."""
+    try:
+        return n / d
+    except ZeroDivisionError:
+        return math.copysign(math.inf, n) * math.copysign(1.0, d) if n == n and n else math.nan
 
 
 def _compile(signature, body):
@@ -112,8 +121,14 @@ def _compile(signature, body):
 
 
 def compile_scalar(f: RationalFunction, constant_values=None):
-    """Compile a rational function to a fast float callable of the state."""
-    return _compile("_scalar(y)", "    return " + _rational_source(f, f.chart, constant_values))
+    """Compile a rational function to a fast float callable of the state.
+
+    Where Python's float arithmetic raises, at a pole or past the float
+    range, the callable returns the IEEE value instead: ±inf or nan.
+    """
+    fast, ieee = (_rational_source(f, f.chart, constant_values, flag) for flag in (False, True))
+    return _compile("_scalar(y)", f"    try:\n        return {fast}\n"
+                                  f"    except ArithmeticError:\n        return {ieee}")
 
 
 def _field_sources(field: VectorField, constant_values):
@@ -181,11 +196,7 @@ class FlowSystem:
                 for i in range(self.chart.dimension)]
 
     def energy(self, state) -> float | None:
-        if self._energy is None:
-            return None
-        import numpy as np
-
-        return float(self._energy(np.asarray(state, dtype=float)))
+        return None if self._energy is None else float(self._energy(state))
 
     def rhs(self, t, y):
         return self._rhs(t, y)
@@ -326,55 +337,42 @@ def _dopri(system: FlowSystem, t, t_end, y, rtol, atol):
     return system._steps(t, t_end, y, f, h_abs, rtol, atol)
 
 
+def _step_end(y_old, stages, h):
+    """The state at a step's end, by the 5th-order solution row over its stages: the
+    generated loop's own arithmetic, so the same floats it continues from."""
+    d = len(y_old)
+    return [y + (35/384 * a + 500/1113 * c + 125/192 * e - 2187/6784 * g + 11/84 * k) * h
+            for y, a, c, e, g, k in zip(y_old, stages, stages[2 * d:], stages[3 * d:],
+                                        stages[4 * d:], stages[5 * d:])]
+
+
+def _extension(y_old, stages, h):
+    """The step's continuous extension x -> y(t_old + x·h), x in [0, 1]."""
+    d = len(y_old)
+    Q = [[h * sum(stages[s * d + i] * _P[s][j] for s in range(7)) for j in range(4)]
+         for i in range(d)]
+
+    def at(x):
+        return [y + (((q3 * x + q2) * x + q1) * x + q0) * x
+                for y, (q0, q1, q2, q3) in zip(y_old, Q)]
+    return at
+
+
 class DenseSolution:
-    """The continuous extension of a run of steps, at a scalar or an array of times.
+    """The continuous extension of a list of accepted steps (t_new, y_old, stages) from
+    t_start, at a scalar time.  A time on a step boundary uses the step that ends there;
+    a time outside [times[0], times[-1]] extrapolates the nearest step."""
 
-    It starts with no step at t_start and grows by ``extend``, block by
-    block: each step's coefficients are computed once, when its block is
-    appended.  A time on a step boundary uses the step that ends there; a
-    time outside [ts[0], ts[-1]] extrapolates the nearest step.
-    """
-
-    def __init__(self, t_start, dimension):
-        import numpy as np
-
-        self.times = [t_start]
-        self.ts, self.h = np.array(self.times), np.empty(0)
-        self.y_old, self.Q = np.empty((0, dimension)), np.empty((0, dimension, 4))
-
-    def extend(self, steps):
-        """Append accepted steps (t_new, y_old, stages) that continue from times[-1],
-        with stages the 7·d values k1..k7 as one flat sequence."""
-        import numpy as np
-
-        t_new, states, stages = zip(*steps)
-        self.times.extend(t_new)
-        self.ts = np.concatenate((self.ts, t_new))
-        self.h = self.ts[1:] - self.ts[:-1]
-        self.y_old = np.concatenate((self.y_old, states))
-        K = np.fromiter(chain.from_iterable(stages), float).reshape(len(states), 7, -1)
-        self.Q = np.concatenate((self.Q, np.einsum("msn,sj->mnj", K, _P)))
+    def __init__(self, t_start, steps):
+        self.times = [t_start] + [t_new for t_new, _, _ in steps]
+        self.steps = steps
 
     def at(self, t):
-        """The state at a scalar t as a list of floats: the array path's arithmetic on
-        the one row that bisection finds, on Python floats."""
-        i = min(max(bisect_left(self.times, t) - 1, 0), len(self.h) - 1)
-        h = float(self.h[i])
-        x = (t - self.times[i]) / h
-        return [y + h * ((((q3 * x + q2) * x + q1) * x + q0) * x)
-                for y, (q0, q1, q2, q3) in zip(self.y_old[i].tolist(), self.Q[i].tolist())]
-
-    def __call__(self, t):
-        """The state (dim,) at a scalar t, or the states (dim, m) at m times."""
-        import numpy as np
-
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.ts, t) - 1, 0, len(self.h) - 1)
-        h = self.h[i]
-        x = ((t - self.ts[i]) / h)[..., None]
-        Q = self.Q[i]
-        p = (((Q[..., 3] * x + Q[..., 2]) * x + Q[..., 1]) * x + Q[..., 0]) * x
-        return (self.y_old[i] + h[..., None] * p).T
+        """The state at t as a list of floats."""
+        i = min(max(bisect_left(self.times, t) - 1, 0), len(self.steps) - 1)
+        _, y_old, stages = self.steps[i]
+        h = self.times[i + 1] - self.times[i]
+        return _extension(y_old, stages, h)((t - self.times[i]) / h)
 
 
 @dataclass
@@ -386,20 +384,7 @@ class Trajectory:
     max_energy_drift: float | None
 
     def state_at(self, t):
-        import numpy as np
-
-        return np.asarray(self.solution(t), dtype=float)
-
-
-def _energy_drift(system: FlowSystem, solution: DenseSolution, initial_energy: float) -> float:
-    """max |H(x(t)) − initial_energy| over max(64, 4·len(times)) samples of the span."""
-    import numpy as np
-
-    times = solution.times
-    # one call on the (dim × m) samples; a constant H returns one float
-    samples = solution(np.linspace(times[0], times[-1], max(64, 4 * len(times))))
-    with np.errstate(over="ignore", invalid="ignore"):  # an orbit beyond the float range
-        return float(np.max(np.abs(system._energy(samples) - initial_energy)))
+        return self.solution.at(t)
 
 
 def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
@@ -407,18 +392,20 @@ def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: f
     """Integrate the flow with the adaptive Dormand-Prince 5(4) pair.
 
     Every step to t_end is taken and kept as dense output; the trajectory
-    records the maximum energy drift |H(x(t)) − H(x0)| over a grid of
-    max(64, 4·steps) samples.
+    records the maximum energy drift |H(x) − H(x0)| over the steps' ends.
     """
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
         raise ValueError("t_end must be finite and exceed a finite t_start")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("tolerances must be positive and finite")
     x0 = [float(v) for v in x0]
-    solution = DenseSolution(float(t_start), len(x0))
-    solution.extend(_dopri(system, float(t_start), float(t_end), x0, rtol, atol))
+    steps = list(_dopri(system, float(t_start), float(t_end), x0, rtol, atol))
+    solution = DenseSolution(float(t_start), steps)
     initial_energy = system.energy(x0)
-    max_drift = None if initial_energy is None else _energy_drift(system, solution, initial_energy)
+    t_new, y_old, stages = steps[-1]  # each other step ends where the next one starts
+    ends = [y for _, y, _ in steps[1:]] + [_step_end(y_old, stages, t_new - solution.times[-2])]
+    max_drift = (None if initial_energy is None
+                 else max(abs(system._energy(x) - initial_energy) for x in ends))
     return Trajectory(solution=solution, initial_energy=initial_energy, max_energy_drift=max_drift)
 
 
@@ -434,124 +421,81 @@ class PeriodDetection:
     max_energy_drift: float | None
 
 
-def _golden_minimize(f, a, b, tol):
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - ratio * (b - a)
-    x2 = a + ratio * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - ratio * (b - a)
-            f1 = f(x1)
+def _section_crossing(extension, t_old, t_new, height):
+    """The first float time in (t_old, t_new] where height ≥ 0 on the step's extension, and
+    the state there, for height < 0 at t_old and ≥ 0 at t_new: bisection to adjacent floats."""
+    h, lo, hi = t_new - t_old, t_old, t_new
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if height(extension((mid - t_old) / h)) < 0.0:
+            lo = mid
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
-def _distance(solution: DenseSolution, x0, t):
-    """|x(t) − x0| for an array x0, by np.linalg.norm's arithmetic on a vector: the
-    same float.  The difference is taken negated, which leaves every square as it is."""
-    v = x0 - solution.at(t)
-    return math.sqrt(v.dot(v))
+            hi = mid
+    return hi, extension((hi - t_old) / h)
 
 
 def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
                   rtol: float = 1e-10, atol: float = 1e-12) -> PeriodDetection:
     """Find the first full phase-space return of the orbit through x0.
 
-    The orbit must first leave the eps-ball around the seed; the first
-    subsequent local minimum of |x(t) − x0| that refines (by
-    golden-section search on the dense output) to a distance ≤ eps is
-    reported as the period, with time resolution eps/1000.  A refined
-    minimum in (eps/10, eps] sets the ``ambiguous`` flag.  Quasi-periodic
-    or escaping orbits report ``periodic=False``, with ``min_distance``
-    the closest refined minimum after leaving the eps-ball (None if the
-    distance has no such minimum).  The search ends at the first distance
-    sample that is not finite: the orbit has left the float range.
+    The section is the hyperplane through x0 normal to f(x0), where the
+    height g(x) = ⟨x − x0, f(x0)/|f(x0)|⟩ vanishes.  After each accepted
+    step the search reads the state at the step's end.  Once the orbit
+    has left the eps-ball around the seed, a step over which g goes from
+    below 0 to at or above 0 crosses the section: g is rooted on the
+    step's continuous extension, and a crossing within eps of x0 is the
+    return, its time the period.  A return distance in (eps/10, eps] sets
+    the ``ambiguous`` flag.  Quasi-periodic or escaping orbits report
+    ``periodic=False``, with ``min_distance`` the closest section crossing
+    (None if there is none).  A step end whose distance or energy is not
+    finite ends the search: the orbit has left the float range.
 
-    The orbit is integrated in chunks, each sampled every SAMPLE_SPACING;
-    steps are taken as the search needs them, SEARCH_WINDOW samples at a
-    time, so the search stops at the step that confirms the return.  The
-    energy drift covers the span integrated, by integrate's rule on each
-    chunk.
+    The stepper is restarted from its last accepted state every SPAN time
+    units.  The energy drift is max |H(x) − H(x0)| over the step ends.
     """
     if not (0 < eps < math.inf and 0 < t_max < math.inf):
         raise ValueError("eps and t_max must be positive and finite")
-    import numpy as np
-
-    x0 = np.asarray(x0, dtype=float)
-    max_drift = None if system._energy is None else 0.0
+    x0 = [float(v) for v in x0]
+    energy = system._energy
+    initial_energy = None if energy is None else energy(x0)
+    max_drift = None if energy is None else 0.0
     left_ball = False
-    closest = math.inf
-    chunk = INITIAL_CHUNK
-    start = 0.0
-    state = [float(v) for v in x0]
-    while start < t_max:
-        stop = min(start + chunk, t_max)
-        chunk = min(2.0 * chunk, MAX_CHUNK)
-        steps = _dopri(system, start, stop, state, rtol, atol)
-        solution = DenseSolution(start, len(state))
-        initial_energy = system.energy(state)
+    closest = None
+    t, g = 0.0, 0.0
+    steps = _dopri(system, t, min(SPAN, t_max), x0, rtol, atol)
+    f0 = system.rhs(0.0, x0)  # regular: _dopri has evaluated it
+    size = math.hypot(*f0)
+    normal = [v / size if size else 0.0 for v in f0]
+    level = sum(map(mul, x0, normal))
 
-        distance = partial(_distance, solution, x0)
-        ts = np.linspace(start, stop, max(16, int(round((stop - start) / SAMPLE_SPACING))))
-        dists = np.empty_like(ts)
-        # candidate minima start after the sample that leaves the ball
-        first = 1 if left_ball else len(ts)
-        chunk_closest = math.inf  # joins closest when the chunk is searched to its end
-        done = 0  # samples whose distance is known
-        while done < len(ts):
-            end = min(done + SEARCH_WINDOW, len(ts))
-            target = float(ts[end - 1])
-            if solution.times[-1] < target:
-                block = []
-                for step in steps:
-                    block.append(step)
-                    if step[0] >= target:
-                        break
-                solution.extend(block)
-            with np.errstate(over="ignore", invalid="ignore"):
-                window = np.sqrt(np.sum((solution(ts[done:end]) - x0[:, None]) ** 2, axis=0))
-            if not np.isfinite(window).all():
-                return PeriodDetection(False, None, closest if math.isfinite(closest) else None,
-                                       False, "orbit left the float range", None)
-            dists[done:end] = window
-            if not left_ball:  # the first and last samples of a chunk never count
-                lo = max(done, 1)
-                outside = np.flatnonzero(dists[lo:min(end, len(ts) - 1)] > eps)
-                if outside.size:
-                    left_ball, first = True, lo + int(outside[0]) + 1
-            # a candidate needs the samples on both sides; the last one waits for the next window
-            lo, hi = max(done - 1, first), end - 1
-            if lo < hi:
-                inner = dists[lo:hi]
-                minima = (inner <= dists[lo - 1:hi - 1]) & (inner <= dists[lo + 1:hi + 1])
-                for i in np.flatnonzero(minima) + lo:
-                    t_best, d_best = _golden_minimize(distance, float(ts[i - 1]), float(ts[i + 1]),
-                                                      eps * 1e-3)
-                    if d_best <= eps:
-                        if max_drift is not None:
-                            max_drift = max(max_drift,
-                                            _energy_drift(system, solution, initial_energy))
-                        return PeriodDetection(True, float(t_best), float(d_best),
-                                               d_best > eps / 10.0, None, max_drift)
-                    chunk_closest = min(chunk_closest, d_best)
-            done = end
-        if max_drift is not None:
-            max_drift = max(max_drift, _energy_drift(system, solution, initial_energy))
-        closest = min(closest, chunk_closest)
-        if stop >= t_max:
+    def height(state):
+        return sum(map(mul, state, normal)) - level
+
+    while True:
+        for t_new, y_old, stages in steps:
+            h = t_new - t
+            x = _step_end(y_old, stages, h)
+            distance = math.dist(x, x0)
+            drift = 0.0 if energy is None else abs(energy(x) - initial_energy)
+            if not (math.isfinite(distance) and math.isfinite(drift)):
+                return PeriodDetection(False, None, closest, False, "orbit left the float range",
+                                       None)
+            if energy is not None and drift > max_drift:
+                max_drift = drift
+            g_new = height(x)
+            if left_ball and g < 0.0 <= g_new:
+                time, state = _section_crossing(_extension(y_old, stages, h), t, t_new, height)
+                crossing = math.dist(state, x0)
+                if crossing <= eps:
+                    return PeriodDetection(True, time, crossing, crossing > eps / 10.0, None,
+                                           max_drift)
+                closest = crossing if closest is None else min(closest, crossing)
+            left_ball = left_ball or distance > eps
+            t, g = t_new, g_new
+        if t >= t_max:
             break
-        # restart slightly before the chunk end so boundary minima fall in the
-        # interior of the next scan window
-        start = stop - 2.0 * SAMPLE_SPACING
-        state = solution.at(start)
+        steps = _dopri(system, t, min(t + SPAN, t_max), x, rtol, atol)
     reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
-    min_distance = closest if math.isfinite(closest) else None
-    return PeriodDetection(False, None, min_distance, False, reason, max_drift)
+    return PeriodDetection(False, None, closest, False, reason, max_drift)
 
 
 @dataclass
@@ -615,50 +559,46 @@ def find_energy_point(system: FlowSystem, energy: float, rng):
     ham = system._energy
     dim = system.chart.dimension
     partials = system.partials
-    import numpy as np
+    for _ in range(DIRECTION_TRIES):  # H may have a pole on the ray: ham gives ±inf or nan there
+        direction = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        norm = math.hypot(*direction)
+        if norm == 0.0:
+            continue
+        direction = [v / norm for v in direction]
 
-    # H may have a pole on the ray
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(DIRECTION_TRIES):
-            direction = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
-            norm = float(np.linalg.norm(direction))
-            if norm == 0.0:
-                continue
-            direction /= norm
+        def g(s):
+            return ham([s * v for v in direction]) - energy
 
-            def g(s):
-                return float(ham(s * direction)) - energy
-
-            if g(0.0) > 0.0:
-                continue
-            s_hi = 1.0
-            doubled = 0
-            while g(s_hi) < 0.0 and doubled < 60:
-                s_hi *= 2.0
-                doubled += 1
-            if g(s_hi) < 0.0:
-                continue
-            s_lo = 0.0
-            for _ in range(80):
-                mid = 0.5 * (s_lo + s_hi)
-                if g(mid) < 0.0:
-                    s_lo = mid
-                else:
-                    s_hi = mid
-            s = 0.5 * (s_lo + s_hi)
-            for _ in range(4):
-                point = s * direction
-                slope = float(sum(p(point) * d for p, d in zip(partials, direction)))
-                if slope == 0.0:
-                    break
-                step = g(s) / slope
-                if not math.isfinite(step):
-                    break
-                s -= step
-            point = s * direction
-            if abs(float(ham(point)) - energy) <= 1e-9 * max(1.0, abs(energy)):
-                return point
-        raise RootFindError(f"no phase-space point found with energy {energy}")
+        if g(0.0) > 0.0:
+            continue
+        s_hi = 1.0
+        doubled = 0
+        while g(s_hi) < 0.0 and doubled < 60:
+            s_hi *= 2.0
+            doubled += 1
+        if g(s_hi) < 0.0:
+            continue
+        s_lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (s_lo + s_hi)
+            if g(mid) < 0.0:
+                s_lo = mid
+            else:
+                s_hi = mid
+        s = 0.5 * (s_lo + s_hi)
+        for _ in range(4):
+            point = [s * v for v in direction]
+            slope = sum(p(point) * d for p, d in zip(partials, direction))
+            if slope == 0.0:
+                break
+            step = g(s) / slope
+            if not math.isfinite(step):
+                break
+            s -= step
+        point = [s * v for v in direction]
+        if abs(ham(point) - energy) <= 1e-9 * max(1.0, abs(energy)):
+            return point
+    raise RootFindError(f"no phase-space point found with energy {energy}")
 
 
 def period_energy_scan(system: FlowSystem, energies, seeds_per_energy: int, seed: int = 0,

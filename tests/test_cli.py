@@ -794,6 +794,31 @@ def test_report_matches_its_golden_file(monkeypatch, name):
     assert text == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+def without_digits(value):
+    """The value with every float replaced by None: what a change of digits leaves alone."""
+    if isinstance(value, float):
+        return None
+    if isinstance(value, dict):
+        return {key: without_digits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [without_digits(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("name,levels", [("period-harmonic", ["0.5", "2.0", "8.0"]),
+                                         ("period-quartic", ["0.25", "1.0", "16.0", "4.0"])])
+def test_golden_period_reports_keep_their_verdicts(name, levels):
+    # the verdicts of the earlier grid-and-golden return search, which gave other digits
+    record = {"ambiguous": False, "converged": True, "drift": None, "energy": None, "level": None,
+              "min_distance": None, "period": None, "reason": None, "seed": [None, None]}
+    dependence = {"dependent": True, "insufficient_sampling": False,
+                  "level_spreads": dict.fromkeys(levels), "violations": []}
+    expected = {"dependence": dependence, "kind": "period", "request": "scan",
+                "table": {"notes": [], "records": [record] * (3 * len(levels))}}
+    report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    assert without_digits(report["results"]) == [expected]
+
+
 # -- declared constants reach the sampled checks -----------------------------------
 
 CONSTANT_FORM = ("chart q, p\nconstants k = {k}\nform w = 2-form: (k) dq^dp\n"

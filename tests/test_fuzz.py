@@ -5,8 +5,8 @@ truncates a line, or replaces a number with a digit 0-9.  Every run must
 end in exit code 0, 1 or 2 with no exception escaping and no traceback
 printed.  The period fixtures are loaded by ``verify``, which parses and
 resolves every request line but integrates no orbit: a mutated
-Hamiltonian can blow up in finite time, and the integrator has no step
-budget yet.
+Hamiltonian can blow up in finite time, and such an orbit runs until the
+step budget ends it, after 100,000 step attempts per seed.
 
 A second generator writes request lines token by token: every request
 kind, object names of every kind and ``key=value`` pairs, starting from a

@@ -48,8 +48,8 @@ def test_exact_subcommands_load_neither_numpy_nor_scipy():
     assert loaded_after(*argvs) == []
 
 
-def test_period_loads_numpy_but_not_scipy():
-    assert loaded_after(f"period {FIXTURES / 'harmonic.sys'}") == ["numpy"]
+def test_period_loads_neither_numpy_nor_scipy():
+    assert loaded_after(f"period {FIXTURES / 'harmonic.sys'}") == []
 
 
 def test_float_symmetry_loads_numpy_but_not_scipy(tmp_path):

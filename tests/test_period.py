@@ -13,11 +13,9 @@ from geoham.errors import IntegrationError, RootFindError
 from geoham.expr import Chart, Polynomial, RationalFunction, parse_expression
 from geoham.geom import VectorField
 from geoham.period import (
-    DenseSolution,
     FlowSystem,
     PeriodRecord,
     PeriodTable,
-    Trajectory,
     dependence_test,
     detect_period,
     equivalence_obstruction,
@@ -102,6 +100,16 @@ def test_compiled_source_text_is_pinned():
         "/((1.0 + 1.0*y[1] + 0.1111111111111111*y[0]**2))")
 
 
+def test_compiled_scalar_gives_the_ieee_value_where_python_floats_raise():
+    chart = Chart(["q", "p"])
+    kepler = period.compile_scalar(parse_expression("p^2/2 - 1/q", chart))
+    assert kepler([0.0, 0.0]) == -math.inf and kepler([-0.0, 0.0]) == math.inf
+    assert math.isnan(period.compile_scalar(parse_expression("p/q", chart))([0.0, 0.0]))
+    power = period.compile_scalar(parse_expression("q^401", chart))
+    assert power([-10.0, 0.0]) == -math.inf and power([10.0, 0.0]) == math.inf
+    assert period.compile_scalar(parse_expression("-p^400", chart))([0.0, -10.0]) == -math.inf
+
+
 # -- integrate -------------------------------------------------------------------
 
 def test_integrate_harmonic_closes_after_full_turn():
@@ -111,24 +119,13 @@ def test_integrate_harmonic_closes_after_full_turn():
     assert trajectory.max_energy_drift < 1e-10
 
 
-def test_dense_solution_at_a_float_time_matches_the_array_path():
-    trajectory = integrate(quartic_system(), [1.0, 0.0], 20.0)
-    solution = trajectory.solution
-    assert isinstance(solution, DenseSolution)
-    rng = random.Random(7)
-    times = solution.times + [np.float64(3.3), -0.5, 20.5]
-    times += [rng.uniform(0.0, 20.0) for _ in range(500)]
-    for t in times:
-        assert solution(t).tolist() == solution(np.array(t)).tolist()
-
-
 def test_integrate_quartic_energy_drift_and_tolerance_agreement():
     system = quartic_system()
     trajectory = integrate(system, [1.0, 0.0], 10.0, rtol=1e-10)
     assert trajectory.max_energy_drift < 1e-9
     # oracle: halved-tolerance re-run agreement
     tighter = integrate(system, [1.0, 0.0], 10.0, rtol=5e-11)
-    assert np.linalg.norm(trajectory.state_at(10.0) - tighter.state_at(10.0)) < 1e-7
+    assert math.dist(trajectory.state_at(10.0), tighter.state_at(10.0)) < 1e-7
 
 
 def test_integrate_zero_field_is_constant():
@@ -276,22 +273,6 @@ def test_generated_step_is_bit_identical_to_the_list_step(arguments):
             == first_steps(reference_steps(rhs, t, t_end, y, k1, h, rtol, atol)))
 
 
-def test_dense_solution_grown_in_blocks_has_the_bits_of_one_built_at_once():
-    steps = list(period._dopri(quartic_system(), 0.0, 20.0, [1.0, 0.0], 1e-10, 1e-12))
-    whole = DenseSolution(0.0, 2)
-    whole.extend(steps)
-    grown = DenseSolution(0.0, 2)
-    rng = random.Random(5)
-    done = 0
-    while done < len(steps):
-        size = rng.randint(1, 40)
-        grown.extend(steps[done:done + size])
-        done += size
-    assert grown.times == whole.times
-    for name in ("ts", "h", "y_old", "Q"):
-        assert getattr(grown, name).tobytes() == getattr(whole, name).tobytes()
-
-
 def test_constant_hamiltonian_reports_zero_drift():
     chart = Chart(["q", "p"])
     field = VectorField(chart, [chart.one(), chart.zero()])
@@ -301,13 +282,14 @@ def test_constant_hamiltonian_reports_zero_drift():
 
 # -- oracle: scipy's RK45, the same method and step control --------------------------
 
-def solve_ivp_integrate(system, x0, t_end, rtol=1e-10, atol=1e-12, t_start=0.0):
+def solve_ivp_solution(system, x0, t_end, rtol=1e-10, atol=1e-12):
+    """scipy's dense solution of the flow from x0 over [0, t_end]."""
     from scipy.integrate import solve_ivp
 
-    result = solve_ivp(system.rhs, (t_start, t_end), np.asarray(x0, dtype=float),
+    result = solve_ivp(system.rhs, (0.0, t_end), np.asarray(x0, dtype=float),
                        method="RK45", rtol=rtol, atol=atol, dense_output=True)
     assert result.success
-    return Trajectory(solution=result.sol, initial_energy=system.energy(x0), max_energy_drift=0.0)
+    return result.sol
 
 
 @pytest.mark.parametrize(
@@ -319,13 +301,13 @@ def solve_ivp_integrate(system, x0, t_end, rtol=1e-10, atol=1e-12, t_start=0.0):
 def test_integrate_agrees_with_solve_ivp(make, x0, t_end):
     system = make()
     trajectory = integrate(system, x0, t_end)
-    oracle = solve_ivp_integrate(system, x0, t_end)
+    oracle = solve_ivp_solution(system, x0, t_end)
     grid = np.linspace(0.0, t_end, 1000)
-    expected = oracle.solution(grid)
+    expected = oracle(grid)
     scale = float(np.abs(expected).max())
-    assert np.abs(trajectory.state_at(t_end) - oracle.state_at(t_end)).max() <= 1e-8 * scale
-    assert np.abs(trajectory.solution(grid) - expected).max() <= 1e-8 * scale
-    assert trajectory.solution(grid).shape == (len(x0), 1000)
+    assert np.abs(trajectory.state_at(t_end) - oracle(t_end)).max() <= 1e-8 * scale
+    found = np.array([trajectory.solution.at(t) for t in grid.tolist()]).T
+    assert np.abs(found - expected).max() <= 1e-8 * scale
 
 
 def solve_ivp_steps(rhs, t, t_end, y, rtol, atol):
@@ -361,65 +343,6 @@ def test_detect_period_agrees_with_solve_ivp(monkeypatch):
 
 # -- detect_period ------------------------------------------------------------------
 
-def reference_detect_period(system, x0, eps=1e-6, t_max=1e3, rtol=1e-10, atol=1e-12):
-    """The return search that integrates each whole chunk, then scans its samples."""
-    x0 = np.asarray(x0, dtype=float)
-    max_drift = 0.0 if system.energy(x0) is not None else None
-    left_ball = False
-    closest = math.inf
-    chunk = period.INITIAL_CHUNK
-    start = 0.0
-    state = x0
-    while start < t_max:
-        stop = min(start + chunk, t_max)
-        chunk = min(2.0 * chunk, period.MAX_CHUNK)
-        trajectory = integrate(system, state, stop, rtol=rtol, atol=atol, t_start=start)
-        if max_drift is not None:
-            max_drift = max(max_drift, trajectory.max_energy_drift)
-        ts = np.linspace(start, stop, max(16, int(round((stop - start) / period.SAMPLE_SPACING))))
-        with np.errstate(over="ignore", invalid="ignore"):
-            dists = np.sqrt(np.sum((trajectory.solution(ts) - x0[:, None]) ** 2, axis=0))
-        if not np.isfinite(dists).all():
-            return period.PeriodDetection(False, None, closest if math.isfinite(closest) else None,
-                                          False, "orbit left the float range", None)
-        inner = dists[1:-1]
-        first = 0
-        if not left_ball:
-            outside = np.flatnonzero(inner > eps)
-            left_ball = outside.size > 0
-            first = outside[0] + 1 if left_ball else inner.size
-        minima = np.flatnonzero((inner <= dists[:-2]) & (inner <= dists[2:]))
-
-        def distance(t, sol=trajectory.solution):
-            return float(np.linalg.norm(sol(t) - x0))
-
-        for i in minima[minima >= first] + 1:
-            t_best, d_best = period._golden_minimize(distance, float(ts[i - 1]), float(ts[i + 1]),
-                                                     eps * 1e-3)
-            if d_best <= eps:
-                return period.PeriodDetection(True, float(t_best), float(d_best),
-                                              d_best > eps / 10.0, None, max_drift)
-            closest = min(closest, d_best)
-        if stop >= t_max:
-            break
-        start = stop - 2.0 * period.SAMPLE_SPACING
-        state = trajectory.state_at(start)
-    reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
-    return period.PeriodDetection(False, None, closest if math.isfinite(closest) else None, False,
-                                  reason, max_drift)
-
-
-def assert_same_search(found, expected):
-    """Equal results; the drift too unless a return ended the search."""
-    assert found.periodic == expected.periodic
-    assert found.period == expected.period
-    assert found.min_distance == expected.min_distance
-    assert found.ambiguous == expected.ambiguous
-    assert found.reason == expected.reason
-    if not expected.periodic:
-        assert found.max_energy_drift == expected.max_energy_drift
-
-
 def r4_isotropic_system():
     chart = Chart(["q1", "q2", "p1", "p2"])
     return FlowSystem(chart, hamiltonian=parse_expression("1/2*(p1^2+q1^2+p2^2+q2^2)", chart))
@@ -428,24 +351,6 @@ def r4_isotropic_system():
 SEARCH_SYSTEMS = {name: make() for name, make in [
     ("harmonic", harmonic_system), ("quartic", quartic_system),
     ("r4-isotropic", r4_isotropic_system), ("sqrt2-torus", torus_system)]}
-
-
-@st.composite
-def period_searches(draw):
-    """A system, a seed point, and a t_max that ends inside the first, second or third chunk."""
-    system = SEARCH_SYSTEMS[draw(st.sampled_from(sorted(SEARCH_SYSTEMS)))]
-    x0 = draw(st.lists(st.floats(-2.0, 2.0), min_size=system.chart.dimension,
-                       max_size=system.chart.dimension))
-    chunk_start, chunk_end = draw(st.sampled_from([(0.5, 8.0), (8.0, 24.0), (24.0, 56.0)]))
-    return system, x0, draw(st.floats(chunk_start, chunk_end, exclude_min=True, exclude_max=True))
-
-
-@settings(max_examples=60)
-@given(period_searches())
-def test_streaming_search_matches_the_chunk_then_scan_reference(search):
-    system, x0, t_max = search
-    assert_same_search(detect_period(system, x0, t_max=t_max),
-                       reference_detect_period(system, x0, t_max=t_max))
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_SYSTEMS))
@@ -460,33 +365,49 @@ def test_detect_period_through_the_generated_loop_matches_the_list_step_loop(nam
     assert any(detection.periodic for detection in expected) == (name != "sqrt2-torus")
 
 
-@pytest.mark.parametrize("system,x0", [(quartic_system(), [1.0, 0.0]),
-                                       (torus_system(), [1.0, 1.0, 0.0, 0.5])],
-                         ids=["R2", "R4"])
-def test_distance_and_the_scalar_path_have_the_bits_of_the_array_path(system, x0):
-    solution = integrate(system, x0, 30.0).solution
-    x0 = np.array(x0)
-    rng = random.Random(11)
-    for t in [rng.uniform(-1.0, 31.0) for _ in range(1000)]:
-        row = solution(np.array(t))
-        assert solution.at(t) == row.tolist() == solution(t).tolist()
-        expected = float(np.linalg.norm(solution(t) - x0))
-        assert period._distance(solution, x0, t) == expected
-        assert expected == float(np.linalg.norm(row - x0))
+def test_a_step_end_is_the_state_the_loop_continues_from():
+    steps = list(period._dopri(torus_system(), 0.0, 20.0, [1.0, 1.0, 0.0, 0.5], 1e-10, 1e-12))
+    starts = [0.0] + [t_new for t_new, _, _ in steps]
+    for t_old, (t_new, y_old, stages), (_, y_next, _) in zip(starts, steps, steps[1:]):
+        assert period._step_end(y_old, stages, t_new - t_old) == list(y_next)
 
 
-@pytest.mark.parametrize("sample", [period.SEARCH_WINDOW - 1, period.SEARCH_WINDOW])
-def test_a_return_on_either_side_of_a_search_window_boundary_is_found(sample):
-    # the first chunk samples [0, INITIAL_CHUNK] at 1024 points; the period T = 2π/w is
-    # placed on the last sample of the first window, or the first of the second
-    period_time = sample * period.INITIAL_CHUNK / 1023
+@pytest.mark.parametrize("offset", [-1e-6, 0.0, 1e-6])
+def test_a_return_on_a_span_boundary_is_found(offset):
+    # the stepper restarts at t = SPAN; the period T = 2π/w is placed on it or just to either side
+    period_time = period.SPAN + offset
     chart = Chart(["q", "p"], constants=["w"])
     system = FlowSystem(chart, hamiltonian=parse_expression("w/2*(p^2+q^2)", chart),
                         constant_values={"w": TWO_PI / period_time})
     detection = detect_period(system, [1.0, 0.0])
-    assert detection.periodic
-    assert abs(detection.period - period_time) < 1e-6
-    assert_same_search(detection, reference_detect_period(system, [1.0, 0.0]))
+    assert detection.periodic and not detection.ambiguous
+    assert abs(detection.period - period_time) < 1e-8 * period_time
+
+
+def power_oscillator(m):
+    chart = catalog.planar_chart()
+    return FlowSystem(chart, hamiltonian=parse_expression(f"(p^2 + q^2)^{m}", chart))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_periods_match_the_closed_form_to_1e_10(m):
+    # (p²+q²)^m turns at angular speed 2m·E^(1−1/m) on the level H = E
+    table = period_energy_scan(power_oscillator(m), [0.25, 1.0, 4.0, 16.0], seeds_per_energy=2,
+                               seed=m)
+    assert len(table.records) == 8
+    for record in table.records:
+        expected = math.pi / (m * record.level ** (1.0 - 1.0 / m))
+        assert record.converged
+        assert abs(record.period - expected) <= 1e-10 * expected
+
+
+def test_isotropic_r4_periods_match_the_closed_form_to_1e_10():
+    table = period_energy_scan(r4_isotropic_system(), [0.25, 1.0, 4.0, 16.0], seeds_per_energy=2,
+                               seed=5)
+    assert len(table.records) == 8
+    for record in table.records:
+        assert record.converged
+        assert abs(record.period - TWO_PI) <= 1e-10 * TWO_PI
 
 
 def test_detect_period_harmonic():
@@ -540,6 +461,13 @@ def test_unconverged_orbit_reports_its_closest_approach():
 def test_detect_period_fixed_point_never_leaves():
     system = harmonic_system()
     detection = detect_period(system, [0.0, 0.0], t_max=5.0)
+    assert not detection.periodic
+    assert detection.reason == "orbit never left the eps-ball"
+
+
+def test_an_orbit_inside_the_eps_ball_is_not_a_return():
+    # the harmonic orbit of radius 1e-7 crosses the section every 2π without leaving the ball
+    detection = detect_period(harmonic_system(), [1e-7, 0.0], t_max=20.0)
     assert not detection.periodic
     assert detection.reason == "orbit never left the eps-ball"
 
