@@ -3,19 +3,21 @@ dependence and obstruction tests.
 
 Integration uses the Dormand-Prince 5(4) embedded pair with its
 continuous extension for dense output.  One adaptive loop is generated
-per flow, cached on the field's source, which lists each polynomial's
-terms in lexicographic order: each stage evaluates the field inline on
-scalar locals.  Everything runs on Python floats.
+per flow, cached on the sources of the field and the Hamiltonian, which
+list each polynomial's terms in lexicographic order: each stage
+evaluates the field inline on scalar locals, and each step's end is
+measured inline too, its distance to the seed, its energy drift and its
+height over the section.  Everything runs on Python floats.
 
 Period detection works with the full phase-space return to the seed
 point, so quasi-periodic orbits report no period instead of aliasing.
 Returns are found on the Poincaré section through the seed normal to
-the field there, step by step: a step whose end crosses the section in
-the flow's direction has its continuous extension rooted on the section
-(Hénon, Physica D 5, 1982; Hairer, Nørsett & Wanner, Solving ODEs I,
-§II.6), and the first crossing within eps of the seed is the return.
-The search stops at the step that confirms it, so the energy drift it
-reports covers the span actually integrated.
+the field there: the loop hands back only a step whose end crosses the
+section in the flow's direction, and its continuous extension is rooted
+on the section (Hénon, Physica D 5, 1982; Hairer, Nørsett & Wanner,
+Solving ODEs I, §II.6).  The first crossing within eps of the seed is
+the return.  The search stops at the step that confirms it, so the
+energy drift it reports covers the span actually integrated.
 
 The period of a flow is a diffeomorphism invariant, and on a connected
 family of periodic orbits the period depends on the energy alone; the
@@ -31,8 +33,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import cache, cached_property
-from operator import mul
+from functools import cache, cached_property, partial
 
 from .errors import (CoefficientRangeError, DimensionError, IntegrationError, PoleError,
                      RootFindError)
@@ -187,7 +188,9 @@ class FlowSystem:
         )
         sources = _field_sources(field, self.constant_values)
         self._rhs = _compile("_rhs(t, y)", "    return [" + ", ".join(sources) + "]")
-        self._steps = _steps_for(sources)
+        energy = "0.0" if hamiltonian is None else _rational_source(hamiltonian, chart,
+                                                                     self.constant_values)
+        self._steps, self._height = _steps_for(sources, energy)
 
     @cached_property
     def partials(self):
@@ -232,7 +235,9 @@ _ERROR_ROW = "-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e - 22
 
 _LOOP = """    [{y}] = y
     [{a}] = f
-    attempts = 0
+    every = section is None
+    [{x}], [{m}], level, eps, left_ball, g = section or (y, [{zeros}], 0.0, math.inf, False, 0.0)
+    inf, max_drift, attempts = math.inf, 0.0, 0
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
         if h_abs < min_step:  # max(h_abs, min_step) and min(t + h_abs, t_end), without the calls
@@ -260,23 +265,46 @@ _LOOP = """    [{y}] = y
             rejected = True
         factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.2)
         h_abs = h * (min(1.0, factor) if rejected else factor)
-        yield t_new, ({y},), ({stages})
-        t = t_new
+        distance = math.hypot({distance})
+        try:
+            drift = abs({energy} - initial_energy)
+        except ArithmeticError:
+            drift = abs(energy([{n}]) - initial_energy)
+        if not (distance < inf and drift < inf):  # the orbit left the float range
+            yield None
+            return
+        max_drift = drift if drift > max_drift else max_drift
+        g_new = {height}
+        if every or left_ball and g < 0.0 <= g_new:
+            yield t, t_new, ({y},), ({stages}), max_drift
+        left_ball = left_ball or distance > eps
+        t, g = t_new, g_new
         {advance}
+    return t, [{y}], g, left_ball, max_drift
 """
 
 
 @cache
-def _steps_for(sources):
-    """The adaptive DOPRI 5(4) loop steps(t, t_end, y, f, h_abs, rtol, atol) of the
-    field whose components compile to sources, generated on first use.
+def _steps_for(sources, energy="0.0"):
+    """The adaptive DOPRI 5(4) loop steps(t, t_end, y, f, h_abs, rtol, atol, section=None,
+    energy=None, initial_energy=0.0) of the field whose components compile to sources, and
+    height(y, normal, level) = ⟨y, normal⟩ − level, the loop's g: one sum, added left to right.
 
-    From (t, y) with the field's value f there and a first step size h_abs,
-    it yields each accepted step as (t_new, y_old, stages): y_old the state at
-    the step's start, stages the 7·d values k1..k7 as one flat tuple.  Each
-    stage evaluates the sources on scalar locals.  The tableau's coefficients
-    and association are kept, and err is hypot over sqrt(d) as in _rms: every
-    float is the one a step over lists of components gives.
+    From (t, y), with f the field there and h_abs a first step size, the loop steps to
+    t_end.  At each accepted step's end it reads, on its locals, the distance to x0, the
+    drift |H − initial_energy| by H's float source ``energy`` (by the IEEE scalar
+    ``energy`` where floats raise), and g.  It yields a step as (t_old, t_new, y_old,
+    stages, drift): stages the 7·d values k1..k7 as one flat tuple, drift the largest so
+    far.  Without a section it yields every step; with section = (x0, normal, level,
+    eps, left_ball, g), only a step over which g goes from below 0 to at or above 0 once
+    the orbit has left the eps-ball around x0.  Where the distance or the drift is not
+    finite it yields None and stops.  At t_end it returns (t_end, state, g, left_ball,
+    drift).
+
+    Each stage evaluates the sources on scalar locals.  The tableau's
+    coefficients and association are kept, and err is hypot over sqrt(d)
+    as in _rms: every float is the one a step over lists of components
+    gives.  The step end is the state the loop continues from.
 
     A step is accepted when the RMS of its scaled error is below 1; no
     accepted step grows h after a rejection.  A stage that divides by zero
@@ -288,11 +316,16 @@ def _steps_for(sources):
     d = len(sources)
 
     def each(text, sep="; "):  # text once per component i, its one-letter names suffixed by i
-        return sep.join(re.sub(r"\b([a-gnsy])\b", rf"\g<1>{i}", text) for i in range(d))
+        return sep.join(re.sub(r"\b([a-gmnsxy])\b", rf"\g<1>{i}", text) for i in range(d))
+
+    def at(body, state):  # a source at the state's locals
+        return re.sub(r"y\[(\d+)\]", rf"{state}\1", body)
 
     def stage(name, state):  # the field at the state's locals, into name0..name{d-1}
-        return "; ".join(f"{name}{i} = " + re.sub(r"y\[(\d+)\]", rf"{state}\1", body)
-                         for i, body in enumerate(sources))
+        return "; ".join(f"{name}{i} = " + at(body, state) for i, body in enumerate(sources))
+
+    def height(state):
+        return each(f"{state} * m", " + ") + " - level"
 
     trial = []
     for name, increment in zip("bcdef", _STAGE_ROWS):
@@ -301,11 +334,16 @@ def _steps_for(sources):
     scaled = f"({_ERROR_ROW}) * h / (atol + (u if (u := abs(n)) > (v := abs(y)) else v) * rtol)"
     trial += [each(f"n = y + ({_SOLUTION_ROW}) * h"), stage("g", "n"),
               f"err = math.hypot({each(scaled, ', ')}) / {math.sqrt(d)!r}"]
-    source = _LOOP.format(y=each("y", ", "), a=each("a", ", "),
-                          trial="\n                ".join(trial),
+    source = _LOOP.format(y=each("y", ", "), a=each("a", ", "), x=each("x", ", "),
+                          m=each("m", ", "), zeros=", ".join(["0.0"] * d), n=each("n", ", "),
+                          trial="\n                ".join(trial), distance=each("n - x", ", "),
+                          energy=at(energy, "n"), height=height("n"),
                           stages=", ".join(each(name, ", ") for name in "abcdefg"),
                           advance=each("y = n") + "; " + each("a = g"))
-    return _compile("_steps(t, t_end, y, f, h_abs, rtol, atol)", source)
+    steps = _compile("_steps(t, t_end, y, f, h_abs, rtol, atol, section=None, energy=None, "
+                     "initial_energy=0.0)", source)
+    body = f"    [{each('y', ', ')}] = y\n    [{each('m', ', ')}] = normal\n    return {height('y')}"
+    return steps, _compile("_height(y, normal, level)", body)
 
 
 def _initial_step(rhs, t, y, f, span, rtol, atol):
@@ -326,24 +364,20 @@ def _initial_step(rhs, t, y, f, span, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _dopri(system: FlowSystem, t, t_end, y, rtol, atol):
-    """The accepted steps of system's flow from (t, y) to t_end, by its generated
-    loop, started with the field's value at y and Hairer's starting step."""
+def _field_at(system: FlowSystem, t, y):
     try:
-        f = system.rhs(t, y)
+        return system.rhs(t, y)
     except (ZeroDivisionError, OverflowError):
         raise IntegrationError(f"the field is singular at the initial state {y}") from None
+
+
+def _dopri(system: FlowSystem, t, t_end, y, rtol, atol, section=None, initial_energy=None):
+    """System's generated loop from (t, y) to t_end, started with the field's value at y
+    and Hairer's starting step."""
+    f = _field_at(system, t, y)
     h_abs = _initial_step(system.rhs, t, y, f, t_end - t, rtol, atol)
-    return system._steps(t, t_end, y, f, h_abs, rtol, atol)
-
-
-def _step_end(y_old, stages, h):
-    """The state at a step's end, by the 5th-order solution row over its stages: the
-    generated loop's own arithmetic, so the same floats it continues from."""
-    d = len(y_old)
-    return [y + (35/384 * a + 500/1113 * c + 125/192 * e - 2187/6784 * g + 11/84 * k) * h
-            for y, a, c, e, g, k in zip(y_old, stages, stages[2 * d:], stages[3 * d:],
-                                        stages[4 * d:], stages[5 * d:])]
+    return system._steps(t, t_end, y, f, h_abs, rtol, atol, section, system._energy,
+                         initial_energy or 0.0)
 
 
 def _extension(y_old, stages, h):
@@ -359,20 +393,18 @@ def _extension(y_old, stages, h):
 
 
 class DenseSolution:
-    """The continuous extension of a list of accepted steps (t_new, y_old, stages) from
-    t_start, at a scalar time.  A time on a step boundary uses the step that ends there;
-    a time outside [times[0], times[-1]] extrapolates the nearest step."""
+    """The continuous extension of a list of accepted steps (t_old, t_new, y_old, stages,
+    drift), at a scalar time.  A time on a step boundary uses the step that ends there; a
+    time outside [t_old of the first, t_new of the last] extrapolates the nearest step."""
 
-    def __init__(self, t_start, steps):
-        self.times = [t_start] + [t_new for t_new, _, _ in steps]
-        self.steps = steps
+    def __init__(self, steps):
+        self.ends, self.steps = [step[1] for step in steps], steps
 
     def at(self, t):
         """The state at t as a list of floats."""
-        i = min(max(bisect_left(self.times, t) - 1, 0), len(self.steps) - 1)
-        _, y_old, stages = self.steps[i]
-        h = self.times[i + 1] - self.times[i]
-        return _extension(y_old, stages, h)((t - self.times[i]) / h)
+        t_old, t_new, y_old, stages, _ = self.steps[min(bisect_left(self.ends, t),
+                                                        len(self.steps) - 1)]
+        return _extension(y_old, stages, t_new - t_old)((t - t_old) / (t_new - t_old))
 
 
 @dataclass
@@ -391,22 +423,22 @@ def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: f
               t_start: float = 0.0) -> Trajectory:
     """Integrate the flow with the adaptive Dormand-Prince 5(4) pair.
 
-    Every step to t_end is taken and kept as dense output; the trajectory
-    records the maximum energy drift |H(x) − H(x0)| over the steps' ends.
+    Every step to t_end is taken and kept as dense output; the trajectory records the
+    maximum energy drift |H(x) − H(x0)| over the steps' ends.  A step end whose distance
+    from x0 or energy is not finite raises IntegrationError.
     """
     if not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
         raise ValueError("t_end must be finite and exceed a finite t_start")
     if not (0 < rtol < math.inf and 0 < atol < math.inf):
         raise ValueError("tolerances must be positive and finite")
     x0 = [float(v) for v in x0]
-    steps = list(_dopri(system, float(t_start), float(t_end), x0, rtol, atol))
-    solution = DenseSolution(float(t_start), steps)
     initial_energy = system.energy(x0)
-    t_new, y_old, stages = steps[-1]  # each other step ends where the next one starts
-    ends = [y for _, y, _ in steps[1:]] + [_step_end(y_old, stages, t_new - solution.times[-2])]
-    max_drift = (None if initial_energy is None
-                 else max(abs(system._energy(x) - initial_energy) for x in ends))
-    return Trajectory(solution=solution, initial_energy=initial_energy, max_energy_drift=max_drift)
+    steps = list(_dopri(system, float(t_start), float(t_end), x0, rtol, atol,
+                        initial_energy=initial_energy))
+    if steps[-1] is None:  # the loop's last yield
+        raise IntegrationError("the orbit left the float range")
+    max_drift = None if initial_energy is None else steps[-1][-1]
+    return Trajectory(DenseSolution(steps), initial_energy, max_drift)
 
 
 @dataclass
@@ -437,65 +469,53 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
                   rtol: float = 1e-10, atol: float = 1e-12) -> PeriodDetection:
     """Find the first full phase-space return of the orbit through x0.
 
-    The section is the hyperplane through x0 normal to f(x0), where the
-    height g(x) = ⟨x − x0, f(x0)/|f(x0)|⟩ vanishes.  After each accepted
-    step the search reads the state at the step's end.  Once the orbit
-    has left the eps-ball around the seed, a step over which g goes from
-    below 0 to at or above 0 crosses the section: g is rooted on the
-    step's continuous extension, and a crossing within eps of x0 is the
-    return, its time the period.  A return distance in (eps/10, eps] sets
-    the ``ambiguous`` flag.  Quasi-periodic or escaping orbits report
-    ``periodic=False``, with ``min_distance`` the closest section crossing
-    (None if there is none).  A step end whose distance or energy is not
-    finite ends the search: the orbit has left the float range.
+    The section is the hyperplane through x0 normal to f(x0), where the height
+    g(x) = ⟨x − x0, f(x0)/|f(x0)|⟩ vanishes; the generated loop reads g at each accepted
+    step's end.  Once the orbit has left the eps-ball around the seed, a step over which g
+    goes from below 0 to at or above 0 crosses the section: g is rooted on the step's
+    continuous extension, and a crossing within eps of x0 is the return, its time the
+    period.  A return distance in (eps/10, eps] sets the ``ambiguous`` flag.
+    Quasi-periodic or escaping orbits report ``periodic=False``, with ``min_distance``
+    the closest section crossing (None if there is none).  A step end whose distance or
+    energy is not finite ends the search: the orbit has left the float range.
 
-    The stepper is restarted from its last accepted state every SPAN time
-    units.  The energy drift is max |H(x) − H(x0)| over the step ends.
+    The stepper is restarted from its last accepted state every SPAN time units.  The
+    energy drift is max |H(x) − H(x0)| over the step ends.
     """
     if not (0 < eps < math.inf and 0 < t_max < math.inf):
         raise ValueError("eps and t_max must be positive and finite")
     x0 = [float(v) for v in x0]
-    energy = system._energy
-    initial_energy = None if energy is None else energy(x0)
-    max_drift = None if energy is None else 0.0
-    left_ball = False
-    closest = None
-    t, g = 0.0, 0.0
-    steps = _dopri(system, t, min(SPAN, t_max), x0, rtol, atol)
-    f0 = system.rhs(0.0, x0)  # regular: _dopri has evaluated it
+    initial_energy = system.energy(x0)
+    f0 = _field_at(system, 0.0, x0)
     size = math.hypot(*f0)
     normal = [v / size if size else 0.0 for v in f0]
-    level = sum(map(mul, x0, normal))
-
-    def height(state):
-        return sum(map(mul, state, normal)) - level
-
-    while True:
-        for t_new, y_old, stages in steps:
-            h = t_new - t
-            x = _step_end(y_old, stages, h)
-            distance = math.dist(x, x0)
-            drift = 0.0 if energy is None else abs(energy(x) - initial_energy)
-            if not (math.isfinite(distance) and math.isfinite(drift)):
+    level = system._height(x0, normal, 0.0)
+    height = partial(system._height, normal=normal, level=level)
+    t, x, g, left_ball, max_drift, closest = 0.0, x0, 0.0, False, 0.0, None
+    while t < t_max:
+        steps = _dopri(system, t, min(t + SPAN, t_max), x, rtol, atol,
+                       (x0, normal, level, eps, left_ball, g), initial_energy)
+        while True:
+            try:
+                step = next(steps)
+            except StopIteration as end:
+                t, x, g, left_ball, drift = end.value
+                break
+            if step is None:
                 return PeriodDetection(False, None, closest, False, "orbit left the float range",
                                        None)
-            if energy is not None and drift > max_drift:
-                max_drift = drift
-            g_new = height(x)
-            if left_ball and g < 0.0 <= g_new:
-                time, state = _section_crossing(_extension(y_old, stages, h), t, t_new, height)
-                crossing = math.dist(state, x0)
-                if crossing <= eps:
-                    return PeriodDetection(True, time, crossing, crossing > eps / 10.0, None,
-                                           max_drift)
-                closest = crossing if closest is None else min(closest, crossing)
-            left_ball = left_ball or distance > eps
-            t, g = t_new, g_new
-        if t >= t_max:
-            break
-        steps = _dopri(system, t, min(t + SPAN, t_max), x, rtol, atol)
+            t_old, t_new, y_old, stages, drift = step
+            time, state = _section_crossing(_extension(y_old, stages, t_new - t_old), t_old,
+                                            t_new, height)
+            crossing = math.dist(state, x0)
+            if crossing <= eps:
+                return PeriodDetection(True, time, crossing, crossing > eps / 10.0, None,
+                                       None if initial_energy is None else max(max_drift, drift))
+            closest = crossing if closest is None else min(closest, crossing)
+        max_drift = max(max_drift, drift)
     reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
-    return PeriodDetection(False, None, closest, False, reason, max_drift)
+    return PeriodDetection(False, None, closest, False, reason,
+                           None if initial_energy is None else max_drift)
 
 
 @dataclass

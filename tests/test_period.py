@@ -1,7 +1,10 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, islice
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -267,9 +270,10 @@ def step_inputs(draw):
 @given(step_inputs())
 def test_generated_step_is_bit_identical_to_the_list_step(arguments):
     field, t, t_end, y, k1, h, rtol, atol = arguments
-    loop = period._steps_for(period._field_sources(field, None))
+    loop, _ = period._steps_for(period._field_sources(field, None))
     rhs = period.compile_field(field)
-    assert (first_steps(loop(t, t_end, y, k1, h, rtol, atol))
+    every_step = loop(t, t_end, y, k1, h, rtol, atol)  # no section: every step is yielded
+    assert (first_steps((t_new, y_old, stages) for _, t_new, y_old, stages, _ in every_step)
             == first_steps(reference_steps(rhs, t, t_end, y, k1, h, rtol, atol)))
 
 
@@ -324,19 +328,75 @@ def solve_ivp_steps(rhs, t, t_end, y, rtol, atol):
         yield solver.t, y_old, solver.K.ravel().tolist()
 
 
-def test_detect_period_agrees_with_solve_ivp(monkeypatch):
+def reference_step_end(y_old, stages, h):
+    """The state at a step's end, by the 5th-order solution row over its stages: the
+    generated loop's own arithmetic, so the same floats it continues from."""
+    d = len(y_old)
+    return [y + (35/384 * a + 500/1113 * c + 125/192 * e - 2187/6784 * g + 11/84 * k) * h
+            for y, a, c, e, g, k in zip(y_old, stages, stages[2 * d:], stages[3 * d:],
+                                        stages[4 * d:], stages[5 * d:])]
+
+
+def reference_detect_period(system, x0, dopri, eps=1e-6, t_max=1e3, rtol=1e-10, atol=1e-12):
+    """detect_period as a Python pass over each accepted step of the stream
+    dopri(system, t, t_end, y, rtol, atol) of steps (t_new, y_old, stages)."""
+    x0 = [float(v) for v in x0]
+    energy = system._energy
+    initial_energy = None if energy is None else energy(x0)
+    max_drift = None if energy is None else 0.0
+    left_ball = False
+    closest = None
+    t, g = 0.0, 0.0
+    steps = dopri(system, t, min(period.SPAN, t_max), x0, rtol, atol)
+    f0 = system.rhs(0.0, x0)
+    size = math.hypot(*f0)
+    normal = [v / size if size else 0.0 for v in f0]
+    level = reduce(add, map(mul, x0, normal))  # added left to right, as the generated loop adds
+
+    def height(state):
+        return reduce(add, map(mul, state, normal)) - level
+
+    while True:
+        for t_new, y_old, stages in steps:
+            h = t_new - t
+            x = reference_step_end(y_old, stages, h)
+            distance = math.dist(x, x0)
+            drift = 0.0 if energy is None else abs(energy(x) - initial_energy)
+            if not (math.isfinite(distance) and math.isfinite(drift)):
+                return period.PeriodDetection(False, None, closest, False,
+                                              "orbit left the float range", None)
+            if energy is not None and drift > max_drift:
+                max_drift = drift
+            g_new = height(x)
+            if left_ball and g < 0.0 <= g_new:
+                time, state = period._section_crossing(period._extension(y_old, stages, h), t,
+                                                       t_new, height)
+                crossing = math.dist(state, x0)
+                if crossing <= eps:
+                    return period.PeriodDetection(True, time, crossing, crossing > eps / 10.0,
+                                                  None, max_drift)
+                closest = crossing if closest is None else min(closest, crossing)
+            left_ball = left_ball or distance > eps
+            t, g = t_new, g_new
+        if t >= t_max:
+            break
+        steps = dopri(system, t, min(t + period.SPAN, t_max), x, rtol, atol)
+    reason = "orbit never left the eps-ball" if not left_ball else "no return within t_max"
+    return period.PeriodDetection(False, None, closest, False, reason, max_drift)
+
+
+def test_detect_period_agrees_with_solve_ivp():
     cases = [(harmonic_system(), [0.3, 1.7]), (quartic_system(), [1.3, 0.4]),
              (torus_system(), [1.0, 0.0, 0.0, 0.0])]
-    periods = [detect_period(system, x0).period for system, x0 in cases]
     calls = []
 
     def oracle(system, *arguments):
         calls.append(arguments)
         return solve_ivp_steps(system.rhs, *arguments)
 
-    monkeypatch.setattr(period, "_dopri", oracle)
-    for (system, x0), found in zip(cases, periods):
-        expected = detect_period(system, x0).period
+    for system, x0 in cases:
+        found = detect_period(system, x0).period
+        expected = reference_detect_period(system, x0, oracle).period
         assert abs(found - expected) <= 1e-8 * expected
     assert len(calls) >= len(cases)
 
@@ -354,22 +414,78 @@ SEARCH_SYSTEMS = {name: make() for name, make in [
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_SYSTEMS))
-def test_detect_period_through_the_generated_loop_matches_the_list_step_loop(name, monkeypatch):
+def test_detect_period_through_the_generated_loop_matches_the_list_step_loop(name):
     system = SEARCH_SYSTEMS[name]
     rng = random.Random(name)
     seeds = [[rng.uniform(-1.5, 1.5) for _ in range(system.chart.dimension)] for _ in range(2)]
+    streams = []
+
+    def dopri(*arguments):
+        streams.append(arguments)
+        return reference_dopri(*arguments)
+
     found = [detect_period(system, x0, t_max=60.0) for x0 in seeds]
-    monkeypatch.setattr(period, "_dopri", reference_dopri)
-    expected = [detect_period(system, x0, t_max=60.0) for x0 in seeds]
+    expected = [reference_detect_period(system, x0, dopri, t_max=60.0) for x0 in seeds]
+    assert streams
     assert found == expected  # every field: period, min_distance and drift included
     assert any(detection.periodic for detection in expected) == (name != "sqrt2-torus")
 
 
-def test_a_step_end_is_the_state_the_loop_continues_from():
-    steps = list(period._dopri(torus_system(), 0.0, 20.0, [1.0, 1.0, 0.0, 0.5], 1e-10, 1e-12))
-    starts = [0.0] + [t_new for t_new, _, _ in steps]
-    for t_old, (t_new, y_old, stages), (_, y_next, _) in zip(starts, steps, steps[1:]):
-        assert period._step_end(y_old, stages, t_new - t_old) == list(y_next)
+@pytest.mark.parametrize("name", sorted(SEARCH_SYSTEMS))
+def test_each_yielded_crossing_is_bracketed_by_the_height(name):
+    # the loop's inline g and the height that _section_crossing bisects agree in sign
+    system = SEARCH_SYSTEMS[name]
+    x0 = [random.Random(name).uniform(-1.5, 1.5) for _ in range(system.chart.dimension)]
+    f0 = system.rhs(0.0, x0)
+    normal = [v / math.hypot(*f0) for v in f0]
+    level = system._height(x0, normal, 0.0)
+    section = (x0, normal, level, 1e-6, False, 0.0)
+    crossings = list(period._dopri(system, 0.0, 60.0, x0, 1e-10, 1e-12, section))
+    assert len(crossings) >= 5
+    for t_old, t_new, y_old, stages, _ in crossings:
+        y_new = reference_step_end(y_old, stages, t_new - t_old)
+        assert system._height(y_old, normal, level) < 0.0 <= system._height(y_new, normal, level)
+
+
+def counted(counts, name, function):
+    def wrapper(*arguments):
+        counts[name] += 1
+        return function(*arguments)
+    return wrapper
+
+
+def test_detect_period_calls_no_python_function_per_step(monkeypatch):
+    # no return within eps = 1e-300: the search runs two whole spans, at two step counts
+    system = quartic_system()
+    counts = Counter()
+    monkeypatch.setattr(system, "rhs", counted(counts, "rhs", system.rhs))
+    monkeypatch.setattr(system, "_energy", counted(counts, "energy", system._energy))
+    for rtol in (1e-8, 1e-11):
+        counts.clear()
+        detection = detect_period(system, [1.3, 0.4], eps=1e-300, t_max=2 * period.SPAN, rtol=rtol)
+        assert detection.reason == "no return within t_max"
+        assert counts == {"rhs": 1 + 2 * 2, "energy": 1}  # f(x0), then f and one trial per span
+
+
+def test_the_ieee_energy_is_called_only_where_python_floats_raise(monkeypatch):
+    # q' = 1 from q = 5: q^400 overflows past q = 5.897..., where H's IEEE value is inf
+    chart = Chart(["q", "p"])
+    system = FlowSystem(chart, hamiltonian=parse_expression("q^400 / 10^300", chart),
+                        field=VectorField(chart, [chart.one(), chart.zero()]))
+    calls = []
+    energy = system._energy
+    monkeypatch.setattr(system, "_energy", lambda y: calls.append(y) or energy(y))
+    detection = detect_period(system, [5.0, 0.0], t_max=2.0)
+    assert detection.reason == "orbit left the float range"
+    assert len(calls) == 2 and calls[0] == [5.0, 0.0] and calls[1][0] > 5.897
+
+
+def test_integrate_raises_where_a_step_end_leaves_the_float_range():
+    # q' = 10^308 and p' = -10^308 from the origin: q and p pass the float range before t = 2
+    chart = Chart(["q", "p"])
+    system = FlowSystem(chart, hamiltonian=parse_expression("10^308*(p + q)", chart))
+    with pytest.raises(IntegrationError, match="left the float range"):
+        integrate(system, [0.0, 0.0], 4.0)
 
 
 @pytest.mark.parametrize("offset", [-1e-6, 0.0, 1e-6])
