@@ -1,13 +1,13 @@
 """Numerical flow integration, period detection, and the energy-period
 dependence and obstruction tests.
 
-Integration uses the Dormand-Prince 5(4) embedded pair with its
-continuous extension for dense output.  One adaptive loop is generated
-per flow, cached on the sources of the field and the Hamiltonian, which
-list each polynomial's terms in lexicographic order: each stage
-evaluates the field inline on scalar locals, and each step's end is
-measured inline too, its distance to the seed, its energy drift and its
-height over the section.  Everything runs on Python floats.
+Integration uses DOP853 / 8(5,3), Prince & Dormand's embedded pair, with
+its 7th-order continuous extension for dense output.  One adaptive loop
+is generated per flow, cached on the sources of the field and the
+Hamiltonian, which list each polynomial's terms in lexicographic order:
+each stage evaluates the field inline on scalar locals, and each step's
+end is measured inline too, its distance to the seed, its energy drift
+and its height over the section.  Everything runs on Python floats.
 
 Period detection works with the full phase-space return to the seed
 point, so quasi-periodic orbits report no period instead of aliasing.
@@ -44,7 +44,7 @@ from .geom import DifferentialForm, VectorField, differential, interior_product
 #: accepted state every SPAN time units, so the step budget holds per span.
 SPAN = 64.0
 #: Step attempts, accepted or rejected, that one _dopri call may make: one whole span
-#: of the quartic fixture's fastest orbit, (p²+q²)² at E = 16, takes 55,258 steps.
+#: of the quartic fixture's fastest orbit, (p²+q²)² at E = 16, takes 3,833 steps.
 MAX_STEP_ATTEMPTS = 100_000
 #: Random directions tried before an energy level is reported unattainable.
 DIRECTION_TRIES = 8
@@ -113,12 +113,20 @@ def _quotient(n, d):
         return math.copysign(math.inf, n) * math.copysign(1.0, d) if n == n and n else math.nan
 
 
-def _compile(signature, body):
-    """The function ``def signature:`` over the indented body, in this module's globals."""
+def _compile(*definitions):
+    """The functions ``def signature:`` over each indented body of the (signature, body)
+    definitions, in order, from one exec in this module's globals."""
     namespace = {}
-    exec(f"def {signature}:\n{body}\n", globals(), namespace)
-    (function,) = namespace.values()
-    return function
+    exec("".join(f"def {signature}:\n{body}\n" for signature, body in definitions), globals(),
+         namespace)
+    return tuple(namespace.values())
+
+
+def _scalar_definition(f: RationalFunction, constant_values):
+    """f's float source, and the (signature, body) of compile_scalar's function."""
+    fast, ieee = (_rational_source(f, f.chart, constant_values, flag) for flag in (False, True))
+    return fast, ("_scalar(y)", f"    try:\n        return {fast}\n"
+                                f"    except ArithmeticError:\n        return {ieee}")
 
 
 def compile_scalar(f: RationalFunction, constant_values=None):
@@ -127,9 +135,8 @@ def compile_scalar(f: RationalFunction, constant_values=None):
     Where Python's float arithmetic raises, at a pole or past the float
     range, the callable returns the IEEE value instead: ±inf or nan.
     """
-    fast, ieee = (_rational_source(f, f.chart, constant_values, flag) for flag in (False, True))
-    return _compile("_scalar(y)", f"    try:\n        return {fast}\n"
-                                  f"    except ArithmeticError:\n        return {ieee}")
+    (scalar,) = _compile(_scalar_definition(f, constant_values)[1])
+    return scalar
 
 
 def _field_sources(field: VectorField, constant_values):
@@ -140,7 +147,8 @@ def _field_sources(field: VectorField, constant_values):
 def compile_field(field: VectorField, constant_values=None):
     """Compile a vector field to an ODE right-hand side f(t, y) -> list."""
     sources = _field_sources(field, constant_values)
-    return _compile("_rhs(t, y)", "    return [" + ", ".join(sources) + "]")
+    (rhs,) = _compile(("_rhs(t, y)", "    return [" + ", ".join(sources) + "]"))
+    return rhs
 
 
 class FlowSystem:
@@ -168,6 +176,7 @@ class FlowSystem:
         self.hamiltonian = hamiltonian
         self.constant_values = dict(constant_values or {})
         n = chart.dimension // 2
+        self._derived = field is None
         if field is None:
             comps = [hamiltonian.derivative(n + k) for k in range(n)]
             comps += [-hamiltonian.derivative(k) for k in range(n)]
@@ -183,13 +192,14 @@ class FlowSystem:
                 raise ValueError("field lives on a different chart")
         self.field = field
         # the Hamiltonian first: a pole in it is named as the user wrote it
-        self._energy = (
-            compile_scalar(hamiltonian, self.constant_values) if hamiltonian is not None else None
-        )
+        energy, scalar = (("0.0", None) if hamiltonian is None
+                          else _scalar_definition(hamiltonian, self.constant_values))
         sources = _field_sources(field, self.constant_values)
-        self._rhs = _compile("_rhs(t, y)", "    return [" + ", ".join(sources) + "]")
-        energy = "0.0" if hamiltonian is None else _rational_source(hamiltonian, chart,
-                                                                     self.constant_values)
+        rhs = "_rhs(t, y)", "    return [" + ", ".join(sources) + "]"
+        if scalar is None:
+            self._energy, (self._rhs,) = None, _compile(rhs)
+        else:  # one exec for both
+            self._energy, self._rhs = _compile(scalar, rhs)
         self._steps, self._height = _steps_for(sources, energy)
 
     @cached_property
@@ -198,6 +208,14 @@ class FlowSystem:
         return [compile_scalar(self.hamiltonian.derivative(i), self.constant_values)
                 for i in range(self.chart.dimension)]
 
+    def gradient(self, state):
+        """∂H at the state, read off a derived field (∂H/∂q_k = −ṗ_k, ∂H/∂p_k = q̇_k: the
+        partials' floats, raising where the field does), else from the compiled partials."""
+        if not self._derived:
+            return [p(state) for p in self.partials]
+        f = self._rhs(0.0, state)
+        return [-v for v in f[len(f) // 2:]] + f[:len(f) // 2]
+
     def energy(self, state) -> float | None:
         return None if self._energy is None else float(self._energy(state))
 
@@ -205,18 +223,69 @@ class FlowSystem:
         return self._rhs(t, y)
 
 
-# Dormand-Prince 5(4) (Hairer, Nørsett & Wanner, Solving ODEs I, §II.4-II.6) with
-# Shampine's quartic continuous extension: y(t_old + xh) = y_old + h·Σ_j (K·P)_j x^(j+1).
-_P = (
-    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
-    (0.0, 0.0, 0.0, 0.0),
-    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
-    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
-    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
-    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+# DOP853, Prince & Dormand's 8(5,3) pair (J. Comput. Appl. Math. 7, 1981; Hairer, Nørsett &
+# Wanner, Solving ODEs I, §II.5-II.6), in the coefficients of Hairer's code.  Row s of _STAGE_ROWS
+# weighs k0..k(s-1) into stage s: rows 1-11 the stages, row 12 the 8th-order solution (its field
+# value k12 starts the next step), rows 13-15 the dense output's; the field is autonomous, so no
+# node is evaluated.  Then the 5th- and 3rd-order error rows, and the last four dense-output rows.
+_STAGE_ROWS = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259),
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
 )
-#: Step-size control: h is scaled by SAFETY·err^(−1/5), clamped to [MIN_FACTOR, MAX_FACTOR].
+_ERROR_ROWS = (
+    (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+     1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+     -0.022355307863886294),
+    (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+     0.02265179219836082),
+)
+_DENSE_ROWS = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
+#: Step-size control: h is scaled by SAFETY·err^(−1/8), clamped to [MIN_FACTOR, MAX_FACTOR].
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
 
 
@@ -224,17 +293,8 @@ def _rms(values):
     return math.hypot(*values) / math.sqrt(len(values))
 
 
-# One component's tableau over its stages a..g = k1..k7: the increments of k2..k6, then
-# the 5th-order solution and the 5th-minus-4th-order error.  The field is autonomous,
-# so the stages' time offsets are never evaluated.
-_STAGE_ROWS = ("1/5 * a", "3/40 * a + 9/40 * b", "44/45 * a - 56/15 * b + 32/9 * c",
-               "19372/6561 * a - 25360/2187 * b + 64448/6561 * c - 212/729 * d",
-               "9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d - 5103/18656 * e")
-_SOLUTION_ROW = "35/384 * a + 500/1113 * c + 125/192 * d - 2187/6784 * e + 11/84 * f"
-_ERROR_ROW = "-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e - 22/525 * f + 1/40 * g"
-
 _LOOP = """    [{y}] = y
-    [{a}] = f
+    [{k0}] = f
     every = section is None
     [{x}], [{m}], level, eps, left_ball, g = section or (y, [{zeros}], 0.0, math.inf, False, 0.0)
     inf, max_drift, attempts = math.inf, 0.0, 0
@@ -260,10 +320,10 @@ _LOOP = """    [{y}] = y
                 err = math.inf
             if err < 1.0:
                 break
-            shrink = max(MIN_FACTOR, SAFETY * err ** -0.2) if math.isfinite(err) else MIN_FACTOR
+            shrink = max(MIN_FACTOR, SAFETY * err ** -0.125) if math.isfinite(err) else MIN_FACTOR
             h_abs = h * shrink
             rejected = True
-        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.2)
+        factor = MAX_FACTOR if err == 0.0 else min(MAX_FACTOR, SAFETY * err ** -0.125)
         h_abs = h * (min(1.0, factor) if rejected else factor)
         distance = math.hypot({distance})
         try:
@@ -276,7 +336,12 @@ _LOOP = """    [{y}] = y
         max_drift = drift if drift > max_drift else max_drift
         g_new = {height}
         if every or left_ball and g < 0.0 <= g_new:
-            yield t, t_new, ({y},), ({stages}), max_drift
+            try:
+                {dense}
+            except (ZeroDivisionError, OverflowError):
+                yield None
+                return
+            yield t, t_new, ({y},), ({n},), ({stages}), max_drift
         left_ball = left_ball or distance > eps
         t, g = t_new, g_new
         {advance}
@@ -286,7 +351,7 @@ _LOOP = """    [{y}] = y
 
 @cache
 def _steps_for(sources, energy="0.0"):
-    """The adaptive DOPRI 5(4) loop steps(t, t_end, y, f, h_abs, rtol, atol, section=None,
+    """The adaptive DOP853 / 8(5,3) loop steps(t, t_end, y, f, h_abs, rtol, atol, section=None,
     energy=None, initial_energy=0.0) of the field whose components compile to sources, and
     height(y, normal, level) = ⟨y, normal⟩ − level, the loop's g: one sum, added left to right.
 
@@ -294,60 +359,67 @@ def _steps_for(sources, energy="0.0"):
     t_end.  At each accepted step's end it reads, on its locals, the distance to x0, the
     drift |H − initial_energy| by H's float source ``energy`` (by the IEEE scalar
     ``energy`` where floats raise), and g.  It yields a step as (t_old, t_new, y_old,
-    stages, drift): stages the 7·d values k1..k7 as one flat tuple, drift the largest so
-    far.  Without a section it yields every step; with section = (x0, normal, level,
-    eps, left_ball, g), only a step over which g goes from below 0 to at or above 0 once
-    the orbit has left the eps-ball around x0.  Where the distance or the drift is not
-    finite it yields None and stops.  At t_end it returns (t_end, state, g, left_ball,
-    drift).
+    y_new, stages, drift): stages the 16·d values k0..k15 as one flat tuple, drift the
+    largest so far.  Without a section it yields every step; with section = (x0, normal,
+    level, eps, left_ball, g), only a step over which g goes from below 0 to at or above 0
+    once the orbit has left the eps-ball around x0.  The dense output's stages k13..k15
+    are evaluated for a yielded step only.  Where the distance or the drift is not finite,
+    or one of those stages raises, it yields None and stops.  At t_end it returns (t_end,
+    state, g, left_ball, drift).
 
-    Each stage evaluates the sources on scalar locals.  The tableau's
-    coefficients and association are kept, and err is hypot over sqrt(d)
-    as in _rms: every float is the one a step over lists of components
-    gives.  The step end is the state the loop continues from.
+    Each stage evaluates the sources on scalar locals, and each row of the tableau is
+    added left to right over its nonzero coefficients: every float is the one a step over
+    lists of components gives.  The step end is the state the loop continues from.
 
-    A step is accepted when the RMS of its scaled error is below 1; no
-    accepted step grows h after a rejection.  A stage that divides by zero
-    or overflows, or a non-finite error, rejects the step at MIN_FACTOR, so
-    a pole ends in IntegrationError once h falls below 10 ulp(t).  An orbit
-    that blows up in finite time ends there too, or at the latest after
-    MAX_STEP_ATTEMPTS attempts.
+    A step is accepted when Hairer's error norm h·err5²/√((err5² + 0.01·err3²)·d) is below
+    1, err5 and err3 the 2-norms of the two scaled estimates, taken by hypot so that no
+    square overflows; no accepted step grows h after a rejection.  A stage that divides by zero
+    or overflows, or a non-finite error, rejects the step at MIN_FACTOR, so a pole ends in
+    IntegrationError once h falls below 10 ulp(t).  An orbit that blows up in finite time
+    ends there too, or at the latest after MAX_STEP_ATTEMPTS attempts.
     """
     d = len(sources)
 
-    def each(text, sep="; "):  # text once per component i, its one-letter names suffixed by i
-        return sep.join(re.sub(r"\b([a-gmnsxy])\b", rf"\g<1>{i}", text) for i in range(d))
+    def each(text, sep="; "):  # text once per component, its {i} the component's index
+        return sep.join(text.format(i=i) for i in range(d))
+
+    def row(coefficients, i):  # Σ_j c_j·k_j of component i over the nonzero c_j, left to right
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coefficients) if c)
 
     def at(body, state):  # a source at the state's locals
         return re.sub(r"y\[(\d+)\]", rf"{state}\1", body)
 
-    def stage(name, state):  # the field at the state's locals, into name0..name{d-1}
-        return "; ".join(f"{name}{i} = " + at(body, state) for i, body in enumerate(sources))
+    def stages(first, last, state="s"):  # each stage's state from y and k0..k{s-1}, then f
+        return "\n                ".join(line for s in range(first, last + 1) for line in (
+            "; ".join(f"{state}{i} = y{i} + ({row(_STAGE_ROWS[s], i)}) * h" for i in range(d)),
+            "; ".join(f"k{s}_{i} = " + at(body, state) for i, body in enumerate(sources))))
 
     def height(state):
-        return each(f"{state} * m", " + ") + " - level"
+        return each(state + "{i} * m{i}", " + ") + " - level"
 
-    trial = []
-    for name, increment in zip("bcdef", _STAGE_ROWS):
-        trial += [each(f"s = y + ({increment}) * h"), stage(name, "s")]
     # (u if u > v else v) is max(v, u) without the call: the same float, NaN included
-    scaled = f"({_ERROR_ROW}) * h / (atol + (u if (u := abs(n)) > (v := abs(y)) else v) * rtol)"
-    trial += [each(f"n = y + ({_SOLUTION_ROW}) * h"), stage("g", "n"),
-              f"err = math.hypot({each(scaled, ', ')}) / {math.sqrt(d)!r}"]
-    source = _LOOP.format(y=each("y", ", "), a=each("a", ", "), x=each("x", ", "),
-                          m=each("m", ", "), zeros=", ".join(["0.0"] * d), n=each("n", ", "),
-                          trial="\n                ".join(trial), distance=each("n - x", ", "),
-                          energy=at(energy, "n"), height=height("n"),
-                          stages=", ".join(each(name, ", ") for name in "abcdefg"),
-                          advance=each("y = n") + "; " + each("a = g"))
-    steps = _compile("_steps(t, t_end, y, f, h_abs, rtol, atol, section=None, energy=None, "
-                     "initial_energy=0.0)", source)
-    body = f"    [{each('y', ', ')}] = y\n    [{each('m', ', ')}] = normal\n    return {height('y')}"
-    return steps, _compile("_height(y, normal, level)", body)
+    scaled = "; ".join(f"w = atol + (u if (u := abs(n{i})) > (v := abs(y{i})) else v) * rtol; "
+                       f"e{i} = ({row(_ERROR_ROWS[0], i)}) / w; "
+                       f"r{i} = ({row(_ERROR_ROWS[1], i)}) / w" for i in range(d))
+    trial = [stages(1, 11), stages(12, 12, "n"), scaled,
+             f"err5, err3 = math.hypot({each('e{i}', ', ')}), math.hypot({each('r{i}', ', ')})",
+             f"err = h * err5 * (err5 / math.hypot(err5, 0.1 * err3)) / {math.sqrt(d)!r} "
+             "if err5 else 0.0"]
+    source = _LOOP.format(y=each("y{i}", ", "), k0=each("k0_{i}", ", "), x=each("x{i}", ", "),
+                          m=each("m{i}", ", "), zeros=", ".join(["0.0"] * d), n=each("n{i}", ", "),
+                          trial="\n                ".join(trial), energy=at(energy, "n"),
+                          distance=each("n{i} - x{i}", ", "), height=height("n"),
+                          dense=stages(13, 15), advance=each("y{i} = n{i}; k0_{i} = k12_{i}"),
+                          stages=", ".join(f"k{s}_{i}" for s in range(16) for i in range(d)))
+    body = f"    [{each('y{i}', ', ')}] = y\n    [{each('m{i}', ', ')}] = normal\n"
+    return _compile(("_steps(t, t_end, y, f, h_abs, rtol, atol, section=None, energy=None, "
+                     "initial_energy=0.0)", source),
+                    ("_height(y, normal, level)", f"{body}    return {height('y')}"))
 
 
 def _initial_step(rhs, t, y, f, span, rtol, atol):
-    """Hairer's starting step: h0 from the sizes of y and f, checked against one Euler step."""
+    """Hairer's starting step for an 8th-order pair: h0 from the sizes of y and f, checked
+    against one Euler step."""
     scale = [atol + abs(v) * rtol for v in y]
     d0 = _rms([v / s for v, s in zip(y, scale)])
     d1 = _rms([a / s for a, s in zip(f, scale)])
@@ -360,7 +432,7 @@ def _initial_step(rhs, t, y, f, span, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100 * h0, h1, span)
 
 
@@ -380,31 +452,37 @@ def _dopri(system: FlowSystem, t, t_end, y, rtol, atol, section=None, initial_en
                          initial_energy or 0.0)
 
 
-def _extension(y_old, stages, h):
-    """The step's continuous extension x -> y(t_old + x·h), x in [0, 1]."""
+def _extension(y_old, y_new, stages, h):
+    """The step's 7th-order DOP853 / 8(5,3) continuous extension x -> y(t_old + x·h), x in
+    [0, 1], from its 16·d stages (Hairer, Nørsett & Wanner, §II.6)."""
     d = len(y_old)
-    Q = [[h * sum(stages[s * d + i] * _P[s][j] for s in range(7)) for j in range(4)]
-         for i in range(d)]
+    F = []
+    for i, (y, z) in enumerate(zip(y_old, y_new)):
+        k, dy = stages[i::d], z - y
+        F.append((dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0]),
+                  *(h * sum(c * v for c, v in zip(row, k) if c) for row in _DENSE_ROWS)))
 
     def at(x):
-        return [y + (((q3 * x + q2) * x + q1) * x + q0) * x
-                for y, (q0, q1, q2, q3) in zip(y_old, Q)]
+        w = 1.0 - x
+        return [y + x * (f0 + w * (f1 + x * (f2 + w * (f3 + x * (f4 + w * (f5 + x * f6))))))
+                for y, (f0, f1, f2, f3, f4, f5, f6) in zip(y_old, F)]
     return at
 
 
 class DenseSolution:
-    """The continuous extension of a list of accepted steps (t_old, t_new, y_old, stages,
-    drift), at a scalar time.  A time on a step boundary uses the step that ends there; a
-    time outside [t_old of the first, t_new of the last] extrapolates the nearest step."""
+    """The DOP853 / 8(5,3) continuous extension of a list of accepted steps (t_old, t_new,
+    y_old, y_new, stages, drift), at a scalar time.  A time on a step boundary uses the step that ends
+    there; a time outside [t_old of the first, t_new of the last] extrapolates the nearest
+    step."""
 
     def __init__(self, steps):
         self.ends, self.steps = [step[1] for step in steps], steps
 
     def at(self, t):
         """The state at t as a list of floats."""
-        t_old, t_new, y_old, stages, _ = self.steps[min(bisect_left(self.ends, t),
-                                                        len(self.steps) - 1)]
-        return _extension(y_old, stages, t_new - t_old)((t - t_old) / (t_new - t_old))
+        t_old, t_new, y_old, y_new, stages, _ = self.steps[min(bisect_left(self.ends, t),
+                                                               len(self.steps) - 1)]
+        return _extension(y_old, y_new, stages, t_new - t_old)((t - t_old) / (t_new - t_old))
 
 
 @dataclass
@@ -421,7 +499,7 @@ class Trajectory:
 
 def integrate(system: FlowSystem, x0, t_end: float, rtol: float = 1e-10, atol: float = 1e-12,
               t_start: float = 0.0) -> Trajectory:
-    """Integrate the flow with the adaptive Dormand-Prince 5(4) pair.
+    """Integrate the flow with the adaptive DOP853 / 8(5,3) pair.
 
     Every step to t_end is taken and kept as dense output; the trajectory records the
     maximum energy drift |H(x) − H(x0)| over the steps' ends.  A step end whose distance
@@ -504,9 +582,9 @@ def detect_period(system: FlowSystem, x0, eps: float = 1e-6, t_max: float = 1e3,
             if step is None:
                 return PeriodDetection(False, None, closest, False, "orbit left the float range",
                                        None)
-            t_old, t_new, y_old, stages, drift = step
-            time, state = _section_crossing(_extension(y_old, stages, t_new - t_old), t_old,
-                                            t_new, height)
+            t_old, t_new, y_old, y_new, stages, drift = step
+            time, state = _section_crossing(_extension(y_old, y_new, stages, t_new - t_old),
+                                            t_old, t_new, height)
             crossing = math.dist(state, x0)
             if crossing <= eps:
                 return PeriodDetection(True, time, crossing, crossing > eps / 10.0, None,
@@ -578,7 +656,6 @@ def find_energy_point(system: FlowSystem, energy: float, rng):
         raise RootFindError("system has no Hamiltonian to match energies against")
     ham = system._energy
     dim = system.chart.dimension
-    partials = system.partials
     for _ in range(DIRECTION_TRIES):  # H may have a pole on the ray: ham gives ±inf or nan there
         direction = [rng.gauss(0.0, 1.0) for _ in range(dim)]
         norm = math.hypot(*direction)
@@ -608,7 +685,10 @@ def find_energy_point(system: FlowSystem, energy: float, rng):
         s = 0.5 * (s_lo + s_hi)
         for _ in range(4):
             point = [s * v for v in direction]
-            slope = sum(p(point) * d for p, d in zip(partials, direction))
+            try:  # the derived field raises where H's slope is not finite
+                slope = sum(p * d for p, d in zip(system.gradient(point), direction))
+            except (ZeroDivisionError, OverflowError):
+                break
             if slope == 0.0:
                 break
             step = g(s) / slope

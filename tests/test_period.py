@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, islice
 from operator import add, mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from geoham.period import (
     integrate,
     period_energy_scan,
 )
+from geoham.sysfile import load_system_file
 
 TWO_PI = 2.0 * math.pi
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def harmonic_system():
@@ -176,27 +179,34 @@ def test_a_stage_that_raises_rejects_the_step_until_the_step_collapses():
         list(period._dopri(FlowSystem(chart, field=field), 0.0, 2.0, [5.0, 0.0], 1e-10, 1e-12))
 
 
+def combination(row, stages):
+    """Σ_j row[j]·stages[j] over the row's nonzero coefficients, added left to right."""
+    return reduce(add, [c * k for c, k in zip(row, stages) if c])
+
+
+def reference_stage(rhs, t, y, k, h, row):
+    """The field at y + h·Σ_j row[j]·k_j, over lists of components."""
+    return rhs(t, [v + combination(row, ks) * h for v, ks in zip(y, zip(*k))])
+
+
 def reference_dopri_step(rhs, t, y, k1, h, rtol, atol):
-    """The DOPRI 5(4) step over lists of components, as the tableau reads."""
-    k2 = rhs(t + 1/5 * h, [v + (1/5 * a) * h for v, a in zip(y, k1)])
-    k3 = rhs(t + 3/10 * h, [v + (3/40 * a + 9/40 * b) * h for v, a, b in zip(y, k1, k2)])
-    k4 = rhs(t + 4/5 * h, [v + (44/45 * a - 56/15 * b + 32/9 * c) * h
-                           for v, a, b, c in zip(y, k1, k2, k3)])
-    k5 = rhs(t + 8/9 * h, [v + (19372/6561 * a - 25360/2187 * b + 64448/6561 * c - 212/729 * d) * h
-                           for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = rhs(t + h, [v + (9017/3168 * a - 355/33 * b + 46732/5247 * c + 49/176 * d
-                          - 5103/18656 * e) * h for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y_new = [v + (35/384 * a + 500/1113 * c + 125/192 * d - 2187/6784 * e + 11/84 * f) * h
-             for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(t + h, y_new)
-    err = period._rms([(-71/57600 * a + 71/16695 * c - 71/1920 * d + 17253/339200 * e
-                        - 22/525 * f + 1/40 * g) * h / (atol + max(abs(v), abs(w)) * rtol)
-                       for a, c, d, e, f, g, v, w in zip(k1, k3, k4, k5, k6, k7, y, y_new)])
-    return y_new, (k1, k2, k3, k4, k5, k6, k7), err
+    """The DOP853 step over lists of components, as the tableau reads: stages k0..k11, the
+    8th-order solution and its field value k12, and Hairer's 5th/3rd-order error norm."""
+    k = [k1]
+    for row in period._STAGE_ROWS[1:12]:
+        k.append(reference_stage(rhs, t, y, k, h, row))
+    y_new = [v + combination(period._STAGE_ROWS[12], ks) * h for v, ks in zip(y, zip(*k))]
+    k.append(rhs(t + h, y_new))
+    scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
+    err5, err3 = (math.hypot(*[combination(row, ks) / s for ks, s in zip(zip(*k), scale)])
+                  for row in period._ERROR_ROWS)
+    err = h * err5 * (err5 / math.hypot(err5, 0.1 * err3)) / math.sqrt(len(y)) if err5 else 0.0
+    return y_new, k, err
 
 
 def reference_steps(rhs, t, t_end, y, f, h_abs, rtol, atol):
-    """The adaptive loop over reference_dopri_step, in the generated loop's form."""
+    """The adaptive loop over reference_dopri_step, in the generated loop's form: each step
+    with the dense output's three extra stages."""
     attempts = 0
     while t < t_end:
         min_step = 10.0 * math.ulp(t)
@@ -217,15 +227,21 @@ def reference_steps(rhs, t, t_end, y, f, h_abs, rtol, atol):
                 err = math.inf
             if err < 1.0:
                 break
-            shrink = (max(period.MIN_FACTOR, period.SAFETY * err ** -0.2) if math.isfinite(err)
+            shrink = (max(period.MIN_FACTOR, period.SAFETY * err ** -0.125) if math.isfinite(err)
                       else period.MIN_FACTOR)
             h_abs = h * shrink
             rejected = True
         factor = (period.MAX_FACTOR if err == 0.0
-                  else min(period.MAX_FACTOR, period.SAFETY * err ** -0.2))
+                  else min(period.MAX_FACTOR, period.SAFETY * err ** -0.125))
         h_abs = h * (min(1.0, factor) if rejected else factor)
-        yield t_new, tuple(y), tuple(chain.from_iterable(k))
-        t, y, f = t_new, y_new, k[6]
+        try:
+            for row in period._STAGE_ROWS[13:]:
+                k.append(reference_stage(rhs, t, y, k, h, row))
+        except (ZeroDivisionError, OverflowError):
+            yield None
+            return
+        yield t_new, tuple(y), tuple(y_new), tuple(chain.from_iterable(k))
+        t, y, f = t_new, y_new, k[12]
 
 
 def reference_dopri(system, t, t_end, y, rtol, atol):
@@ -273,8 +289,46 @@ def test_generated_step_is_bit_identical_to_the_list_step(arguments):
     loop, _ = period._steps_for(period._field_sources(field, None))
     rhs = period.compile_field(field)
     every_step = loop(t, t_end, y, k1, h, rtol, atol)  # no section: every step is yielded
-    assert (first_steps((t_new, y_old, stages) for _, t_new, y_old, stages, _ in every_step)
+    assert (first_steps(step[1:5] for step in every_step)
             == first_steps(reference_steps(rhs, t, t_end, y, k1, h, rtol, atol)))
+
+
+def test_tableau_literals_are_scipy_s_dop853_coefficients_to_the_bit():
+    from scipy.integrate._ivp import dop853_coefficients as dop853
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    # A's rows: stages 1-11, the solution B as row 12, the dense output's stages as rows 13-15
+    assert len(period._STAGE_ROWS) == dop853.N_STAGES_EXTENDED
+    for s, row in enumerate(period._STAGE_ROWS):
+        assert bits(row) == bits(dop853.A[s, :s])
+        assert abs(math.fsum(row) - dop853.C[s]) <= 1e-14  # Σ_j a_sj = c_s
+    assert bits(period._STAGE_ROWS[12]) == bits(dop853.B) and dop853.C[12] == 1.0
+    # the two error rows weigh k0..k11 only: the FSAL stage k12 has no weight in them
+    assert dop853.E5[12] == dop853.E3[12] == 0.0
+    assert [bits(row) for row in period._ERROR_ROWS] == [bits(dop853.E5[:12]),
+                                                         bits(dop853.E3[:12])]
+    assert [bits(row) for row in period._DENSE_ROWS] == [bits(row) for row in dop853.D]
+
+
+@pytest.mark.parametrize("make", [harmonic_system, quartic_system, torus_system],
+                         ids=["harmonic", "quartic", "torus"])
+def test_extension_matches_scipy_s_dop853_dense_output_on_its_step(make):
+    from scipy.integrate import DOP853
+
+    system = make()
+    x0 = [1.0, 0.5, -0.25, 0.75][:system.chart.dimension]
+    solver = DOP853(system.rhs, 0.0, np.asarray(x0), 10.0, rtol=1e-6, atol=1e-9)
+    for _ in range(3):
+        y_old = solver.y.tolist()
+        solver.step()
+        dense = solver.dense_output()  # fills the three extra stages
+        extension = period._extension(y_old, solver.y.tolist(),
+                                      solver.K_extended.ravel().tolist(), solver.t - solver.t_old)
+        for x in (0.0, 0.125, 0.5, 0.875, 1.0):
+            expected = dense(solver.t_old + x * (solver.t - solver.t_old))
+            assert np.abs(np.array(extension(x)) - expected).max() <= 1e-14
 
 
 def test_constant_hamiltonian_reports_zero_drift():
@@ -284,14 +338,14 @@ def test_constant_hamiltonian_reports_zero_drift():
     assert integrate(system, [1.0, 2.0], 5.0).max_energy_drift == 0.0
 
 
-# -- oracle: scipy's RK45, the same method and step control --------------------------
+# -- oracle: scipy's DOP853, the same method and step control ------------------------
 
 def solve_ivp_solution(system, x0, t_end, rtol=1e-10, atol=1e-12):
     """scipy's dense solution of the flow from x0 over [0, t_end]."""
     from scipy.integrate import solve_ivp
 
     result = solve_ivp(system.rhs, (0.0, t_end), np.asarray(x0, dtype=float),
-                       method="RK45", rtol=rtol, atol=atol, dense_output=True)
+                       method="DOP853", rtol=rtol, atol=atol, dense_output=True)
     assert result.success
     return result.sol
 
@@ -315,31 +369,24 @@ def test_integrate_agrees_with_solve_ivp(make, x0, t_end):
 
 
 def solve_ivp_steps(rhs, t, t_end, y, rtol, atol):
-    """The accepted steps of scipy's RK45, the stepper that solve_ivp(method="RK45") drives,
-    in _dopri's form (t_new, y_old, stages)."""
-    from scipy.integrate import RK45
+    """The accepted steps of scipy's DOP853, the stepper that solve_ivp(method="DOP853")
+    drives, in _dopri's form (t_new, y_old, y_new, stages), the stages extended by the dense
+    output's three."""
+    from scipy.integrate import DOP853
 
-    solver = RK45(rhs, t, np.asarray(y, dtype=float), t_end, rtol=rtol, atol=atol)
+    solver = DOP853(rhs, t, np.asarray(y, dtype=float), t_end, rtol=rtol, atol=atol)
     while solver.status == "running":
         y_old = solver.y.tolist()
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationError(message)
-        yield solver.t, y_old, solver.K.ravel().tolist()
-
-
-def reference_step_end(y_old, stages, h):
-    """The state at a step's end, by the 5th-order solution row over its stages: the
-    generated loop's own arithmetic, so the same floats it continues from."""
-    d = len(y_old)
-    return [y + (35/384 * a + 500/1113 * c + 125/192 * e - 2187/6784 * g + 11/84 * k) * h
-            for y, a, c, e, g, k in zip(y_old, stages, stages[2 * d:], stages[3 * d:],
-                                        stages[4 * d:], stages[5 * d:])]
+        solver.dense_output()  # fills the three extra stages
+        yield solver.t, y_old, solver.y.tolist(), solver.K_extended.ravel().tolist()
 
 
 def reference_detect_period(system, x0, dopri, eps=1e-6, t_max=1e3, rtol=1e-10, atol=1e-12):
     """detect_period as a Python pass over each accepted step of the stream
-    dopri(system, t, t_end, y, rtol, atol) of steps (t_new, y_old, stages)."""
+    dopri(system, t, t_end, y, rtol, atol) of steps (t_new, y_old, y_new, stages)."""
     x0 = [float(v) for v in x0]
     energy = system._energy
     initial_energy = None if energy is None else energy(x0)
@@ -357,9 +404,8 @@ def reference_detect_period(system, x0, dopri, eps=1e-6, t_max=1e3, rtol=1e-10, 
         return reduce(add, map(mul, state, normal)) - level
 
     while True:
-        for t_new, y_old, stages in steps:
+        for t_new, y_old, x, stages in steps:
             h = t_new - t
-            x = reference_step_end(y_old, stages, h)
             distance = math.dist(x, x0)
             drift = 0.0 if energy is None else abs(energy(x) - initial_energy)
             if not (math.isfinite(distance) and math.isfinite(drift)):
@@ -369,8 +415,8 @@ def reference_detect_period(system, x0, dopri, eps=1e-6, t_max=1e3, rtol=1e-10, 
                 max_drift = drift
             g_new = height(x)
             if left_ball and g < 0.0 <= g_new:
-                time, state = period._section_crossing(period._extension(y_old, stages, h), t,
-                                                       t_new, height)
+                time, state = period._section_crossing(period._extension(y_old, x, stages, h),
+                                                       t, t_new, height)
                 crossing = math.dist(state, x0)
                 if crossing <= eps:
                     return period.PeriodDetection(True, time, crossing, crossing > eps / 10.0,
@@ -442,8 +488,7 @@ def test_each_yielded_crossing_is_bracketed_by_the_height(name):
     section = (x0, normal, level, 1e-6, False, 0.0)
     crossings = list(period._dopri(system, 0.0, 60.0, x0, 1e-10, 1e-12, section))
     assert len(crossings) >= 5
-    for t_old, t_new, y_old, stages, _ in crossings:
-        y_new = reference_step_end(y_old, stages, t_new - t_old)
+    for _, _, y_old, y_new, _, _ in crossings:
         assert system._height(y_old, normal, level) < 0.0 <= system._height(y_new, normal, level)
 
 
@@ -481,10 +526,18 @@ def test_the_ieee_energy_is_called_only_where_python_floats_raise(monkeypatch):
 
 
 def test_integrate_raises_where_a_step_end_leaves_the_float_range():
-    # q' = 10^308 and p' = -10^308 from the origin: q and p pass the float range before t = 2
+    # q' = 10^307 and p' = -10^307 from the origin: q and p pass the float range before t = 20
+    chart = Chart(["q", "p"])
+    system = FlowSystem(chart, hamiltonian=parse_expression("10^307*(p + q)", chart))
+    with pytest.raises(IntegrationError, match="left the float range"):
+        integrate(system, [0.0, 0.0], 40.0)
+
+
+def test_a_field_beyond_the_tableau_s_float_range_collapses_the_step():
+    # at |f| = 10^308 the tableau's sums (|a_ij| up to 43.5) overflow: no step is accepted
     chart = Chart(["q", "p"])
     system = FlowSystem(chart, hamiltonian=parse_expression("10^308*(p + q)", chart))
-    with pytest.raises(IntegrationError, match="left the float range"):
+    with pytest.raises(IntegrationError, match=r"float spacing at t = 0\.0$"):
         integrate(system, [0.0, 0.0], 4.0)
 
 
@@ -637,6 +690,59 @@ def test_find_energy_point_matches_energy():
         assert abs(system.energy(point) - energy) <= 1e-9 * max(1.0, energy)
     with pytest.raises(RootFindError):
         find_energy_point(harmonic_system(), -2.0, rng)
+
+
+# The Hamiltonians of bench/workloads.py's five period-scan classes, with energies they draw.
+BENCH_HAMILTONIANS = {
+    "harmonic": ("q, p", "1/2*(p^2 + q^2)", ["1/4", "1", "2"]),
+    "harmonic-rational": ("q, p", "3/5*(p^2 + q^2)", ["1/4", "3/4", "2"]),
+    "oscillator-r4": ("q1, q2, p1, p2", "1/2*(p1^2 + p2^2 + q1^2 + q2^2)", ["1/4", "1", "2"]),
+    "quasi-periodic": ("q1, q2, p1, p2", "1/2*(p1^2 + q1^2) + 1393/1970*(p2^2 + q2^2)",
+                       ["1/4", "5/4", "2"]),
+    "quartic": ("q, p", "(p^2 + q^2)^2", ["1/4", "1/3", "1/2"]),
+}
+
+
+def energy_point_system(name):
+    """The flow and the energies of a period fixture file, or of a bench class."""
+    if name.endswith(".sys"):
+        system = load_system_file(str(FIXTURES / name))
+        [request] = system.requests_of("period")
+        return (FlowSystem(system.chart, hamiltonian=request.objects["hamiltonian"]),
+                request.options["energies"])
+    chart_text, hamiltonian, energies = BENCH_HAMILTONIANS[name]
+    chart = Chart(chart_text.split(", "))
+    return (FlowSystem(chart, hamiltonian=parse_expression(hamiltonian, chart)),
+            [Fraction(e) for e in energies])
+
+
+@pytest.mark.parametrize("name", ["harmonic.sys", "quartic.sys", *sorted(BENCH_HAMILTONIANS)])
+def test_energy_points_from_the_field_are_bit_identical_to_the_compiled_partials(monkeypatch,
+                                                                                  name):
+    system, energies = energy_point_system(name)
+    found = [find_energy_point(system, float(e), random.Random(seed)) for seed in range(5)
+             for e in energies]
+    assert "partials" not in vars(system)  # the Newton polish read ∂H off the field
+    partials = [period.compile_scalar(system.hamiltonian.derivative(i))
+                for i in range(system.chart.dimension)]
+    monkeypatch.setattr(system, "gradient", lambda state: [p(state) for p in partials])
+    expected = [find_energy_point(system, float(e), random.Random(seed))
+                for seed in range(5) for e in energies]
+    assert [[v.hex() for v in point] for point in found] == [[v.hex() for v in point]
+                                                             for point in expected]
+
+
+def test_a_flow_system_compiles_its_energy_and_field_in_one_exec(monkeypatch):
+    chart = Chart(["q", "p"])
+    calls = []
+    compile_ = period._compile
+    monkeypatch.setattr(period, "_compile", lambda *definitions: calls.append(
+        [signature.split("(")[0] for signature, _ in definitions]) or compile_(*definitions))
+    hamiltonian = parse_expression("1/2*p^2 + 1/3*q^3 - 2/7*q", chart)
+    system = FlowSystem(chart, hamiltonian=hamiltonian)
+    FlowSystem(chart, hamiltonian=hamiltonian)  # the stepping loop is cached on the sources
+    find_energy_point(system, 1.0, random.Random(1))
+    assert calls == [["_scalar", "_rhs"], ["_steps", "_height"], ["_scalar", "_rhs"]]
 
 
 def test_scan_seed_independence_of_periods():
